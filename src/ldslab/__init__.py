@@ -60,6 +60,7 @@ from .moments import (
     exact_cross_covariance,
     exact_sixth_moment_block,
     flatten_markov,
+    min_trajectory_length,
     symmetrize_tensor3,
     unflatten_markov,
 )

@@ -36,6 +36,7 @@ from .io import (
 )
 from .lds import NoiseConfig, random_mixture, sample_mixture_dataset, well_behaved_report
 from .learn import align_similarity, learn_mixture
+from .moments import min_trajectory_length, too_short_message
 
 __all__ = ["main"]
 
@@ -143,12 +144,6 @@ def _learn_from_file(args):
     t0 = time.perf_counter()
     dataset = load_dataset(args.data)
     times["load"] = time.perf_counter() - t0
-    length = min(len(t) for t in dataset)
-    if length < 6 * (args.s + 1):
-        raise DataError(
-            f"trajectory length {length} is below the learn-mode minimum "
-            f"6(s+1) = {6 * (args.s + 1)} for s={args.s}"
-        )
     t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     learned = learn_mixture(dataset, args.k, args.n, args.s, rng, tol=args.tol)
@@ -284,11 +279,9 @@ def cmd_sweep(args) -> int:
     grid = sorted(set(args.n_grid))
     if any(n <= 0 for n in grid):
         raise UsageError("--n-grid entries must be positive")
-    if args.length < 6 * (args.s + 1):
-        raise UsageError(
-            f"--length {args.length} is below the learn-mode minimum "
-            f"6(s+1) = {6 * (args.s + 1)}"
-        )
+    need = min_trajectory_length(args.s)
+    if args.length < need:
+        raise UsageError(f"--length: {too_short_message(args.length, need)}")
     truth = load_mixture(args.truth)
     header = [
         "n_traj", "a_err_max", "b_err_max", "c_err_max", "d_err_max",

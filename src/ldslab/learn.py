@@ -27,6 +27,7 @@ from .moments import (
     MomentTensor6,
     _stack_dataset,
     assemble_pi,
+    min_trajectory_length,
     symmetrize_tensor3,
     unflatten_markov,
 )
@@ -246,19 +247,12 @@ def learn_mixture(
 ) -> LearnedMixture:
     """Learn a k-component mixture of order-n systems from trajectories.
 
-    Trajectories must have length >= 6(s+1); the estimators use indices
-    up to 6s+2.
+    Trajectories must have length >= min_trajectory_length(s) = 6s+3;
+    the estimators use indices up to 6s+2.
     """
-    if not dataset:
-        raise DataError("empty dataset")
-    u, y = _stack_dataset(dataset, 6 * s + 3)
-    blocks = MomentTensor6._estimate_from_arrays(u, y, s)
-    flat = assemble_pi(blocks)
-    rblocks = tuple(
-        np.einsum("bm,bp->bmp", y[:, k1, :], u[:, 0, :]).sum(axis=0) / u.shape[0]
-        for k1 in range(2 * s + 1)
-    )
-    rhat = CrossCovarianceStack(blocks=rblocks, assembled=np.hstack(rblocks), s=s)
+    u, y = _stack_dataset(dataset, min_trajectory_length(s))
+    flat = assemble_pi(MomentTensor6._estimate_from_arrays(u, y, s))
+    rhat = CrossCovarianceStack._estimate_from_arrays(u, y, s)
     return learn_mixture_from_moments(flat, rhat, k, n, s, rng, tol=tol)
 
 

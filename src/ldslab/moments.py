@@ -13,6 +13,16 @@ together over 0 <= k1,k2,k3 <= 2s and flattening (y, u) index pairs
 yields a third-order tensor whose rank-one components are the flattened
 per-component Markov matrices.
 
+Every factor of the sixth moment is a pair y[i+d] (x) u[i] with
+0 <= i <= 4s+2 and 0 <= d <= 2s, so the grid estimator first builds the
+pair slab
+
+    pair[i, b, d*(m*p) + row*p + col] = y[b, i+d, row] * u[b, i, col]
+
+of shape (4s+3, B, (2s+1)*m*p) for a chunk of B trajectories.  The three
+factors of block (k1, k2, k3) are pair[0] at d = k1, pair[k1+1] at d = k2
+and pair[k1+k2+2] at d = k3, so one GEMM per (k1, k2) covers every k3.
+
 Flattening convention, fixed everywhere: a Markov matrix block X_k maps
 to vector indices k*(m*p) + row*p + col.
 """
@@ -21,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DimensionError
 from .lds import MixtureSpec, markov_parameter
@@ -37,11 +48,23 @@ __all__ = [
     "symmetrize_tensor3",
     "flatten_markov",
     "unflatten_markov",
+    "min_trajectory_length",
 ]
 
-# Trajectories are reduced chunk-by-chunk in fixed order, bounding the
-# length of any single accumulation run regardless of dataset size.
-_CHUNK = 65536
+# Trajectories are reduced chunk-by-chunk in fixed order.  The chunk
+# bounds the length of any single accumulation run regardless of dataset
+# size, and the memory of the pair slab: 8 * _CHUNK * (4s+3) * q bytes.
+_CHUNK = 8192
+
+
+def min_trajectory_length(s: int) -> int:
+    """Shortest trajectory the order-s estimators accept; the sixth-moment
+    grid reads indices up to 6s+2."""
+    return 6 * s + 3
+
+
+def too_short_message(length: int, need: int) -> str:
+    return f"trajectories of length {length} are too short; need length >= {need}"
 
 
 def _stack_dataset(dataset, min_length: int):
@@ -51,10 +74,7 @@ def _stack_dataset(dataset, min_length: int):
         raise DataError("empty dataset")
     length = min(len(t) for t in dataset)
     if length < min_length:
-        raise DataError(
-            f"trajectories of length {length} are too short; "
-            f"need length >= {min_length}"
-        )
+        raise DataError(too_short_message(length, min_length))
     p = dataset[0].u.shape[1]
     m = dataset[0].y.shape[1]
     for i, t in enumerate(dataset):
@@ -98,6 +118,10 @@ class CrossCovarianceStack:
     @classmethod
     def estimate(cls, dataset, s: int) -> "CrossCovarianceStack":
         u, y = _stack_dataset(dataset, 2 * s + 1)
+        return cls._estimate_from_arrays(u, y, s)
+
+    @classmethod
+    def _estimate_from_arrays(cls, u, y, s: int) -> "CrossCovarianceStack":
         blocks = tuple(
             _cross_covariance_from_arrays(u, y, k1) for k1 in range(2 * s + 1)
         )
@@ -109,59 +133,42 @@ class CrossCovarianceStack:
         return cls(blocks=blocks, assembled=np.hstack(blocks), s=s)
 
 
-def _pair_products(u, y, cache, y_idx, u_idx):
-    """Flattened outer products y[y_idx] (x) u[u_idx], shape (B, m*p)."""
-    key = (y_idx, u_idx)
-    if key not in cache:
-        b = u.shape[0]
-        cache[key] = np.einsum("bm,bp->bmp", y[:, y_idx, :], u[:, u_idx, :]).reshape(
-            b, -1
-        )
-    return cache[key]
+def _accumulate_sixth(acc, pair, mp):
+    """acc[k1, k2] += pair[k1+k2+2].T @ (pair[k1+1] at d=k2 (x) pair[0] at d=k1)."""
+    g = acc.shape[0]
+    bsz = pair.shape[1]
+    for k1 in range(g):
+        o1 = pair[0, :, k1 * mp:(k1 + 1) * mp]
+        for k2 in range(g):
+            o2 = pair[k1 + 1, :, k2 * mp:(k2 + 1) * mp]
+            inner = (o2[:, :, None] * o1[:, None, :]).reshape(bsz, mp * mp)
+            acc[k1, k2] += pair[k1 + k2 + 2].T @ inner
 
 
-def _sixth_moment_sums(u, y, triples, with_sq=False):
-    """Sum over trajectories of the six-fold products for each index
-    triple.  Trajectories are processed in fixed-size chunks added in
-    fixed order, which bounds accumulation error independently of the
-    dataset size.  Returns (sums, sumsqs) of (mp, mp, mp) arrays."""
+def _sixth_moment_sums(u, y, s, with_sq=False):
+    """Sums over trajectories of the six-fold products on the whole grid,
+    and of their squares when ``with_sq``.  Both are (g, g, g*mp, mp*mp)
+    arrays indexed [k1, k2, (k3, y3, u3), (y2, u2, y1, u1)] with g = 2s+1,
+    which reshape directly into the block grid."""
     n, _, m = y.shape
     p = u.shape[2]
-    mp = m * p
-    sums = {t: np.zeros((mp, mp * mp)) for t in triples}
-    sumsqs = {t: np.zeros((mp, mp * mp)) for t in triples} if with_sq else None
-    pair_keys = {}
-    for k1, k2, k3 in triples:
-        pair_keys.setdefault((k1, k2), []).append(k3)
+    mp, g, width = m * p, 2 * s + 1, 4 * s + 3
+    sums = np.zeros((g, g, g * mp, mp * mp))
+    sumsqs = np.zeros_like(sums) if with_sq else None
+    slab = np.empty((width, min(n, _CHUNK), g, m, p))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        uc, yc = u[lo:hi], y[lo:hi]
-        bsz = hi - lo
-        cache = {}
-        sq_cache = {}
-
-        def _sq(key):
-            if key not in sq_cache:
-                sq_cache[key] = cache[key] * cache[key]
-            return sq_cache[key]
-
-        for (k1, k2), k3s in pair_keys.items():
-            o1 = _pair_products(uc, yc, cache, k1, 0)
-            o2 = _pair_products(uc, yc, cache, k1 + k2 + 1, k1 + 1)
-            inner = (o2[:, :, None] * o1[:, None, :]).reshape(bsz, mp * mp)
-            if with_sq:
-                inner_sq = (_sq((k1 + k2 + 1, k1 + 1))[:, :, None]
-                            * _sq((k1, 0))[:, None, :]).reshape(bsz, mp * mp)
-            for k3 in k3s:
-                o3 = _pair_products(uc, yc, cache, k1 + k2 + k3 + 2, k1 + k2 + 2)
-                sums[(k1, k2, k3)] += o3.T @ inner
-                if with_sq:
-                    o3sq = _sq((k1 + k2 + k3 + 2, k1 + k2 + 2))
-                    sumsqs[(k1, k2, k3)] += o3sq.T @ inner_sq
-    shape = (mp, mp, mp)
-    sums = {t: v.reshape(shape) for t, v in sums.items()}
-    if with_sq:
-        sumsqs = {t: v.reshape(shape) for t, v in sumsqs.items()}
+        # windows[b, i, row, d] = y[b, i+d, row]
+        windows = sliding_window_view(y[lo:hi], g, axis=1)[:, :width]
+        np.multiply(
+            windows.transpose(1, 0, 3, 2)[..., None],
+            u[lo:hi, :width].transpose(1, 0, 2)[:, :, None, None, :],
+            out=slab[:, : hi - lo],
+        )
+        pair = slab[:, : hi - lo].reshape(width, hi - lo, g * mp)
+        _accumulate_sixth(sums, pair, mp)
+        if with_sq:
+            _accumulate_sixth(sumsqs, np.square(pair, out=pair), mp)
     return sums, sumsqs
 
 
@@ -174,11 +181,13 @@ def estimate_sixth_moment_block(dataset, k1: int, k2: int, k3: int) -> np.ndarra
     for name, k in (("k1", k1), ("k2", k2), ("k3", k3)):
         if k < 0:
             raise DataError(f"{name} must be >= 0")
-    need = k1 + k2 + k3 + 3
-    u, y = _stack_dataset(dataset, need)
-    m, p = y.shape[2], u.shape[2]
-    sums, _ = _sixth_moment_sums(u, y, [(k1, k2, k3)])
-    return (sums[(k1, k2, k3)] / len(dataset)).reshape(_block_shape(m, p))
+    u, y = _stack_dataset(dataset, k1 + k2 + k3 + 3)
+    return np.einsum(
+        "za,zb,zc,zd,ze,zf->abcdef",
+        y[:, k1 + k2 + k3 + 2], u[:, k1 + k2 + 2],
+        y[:, k1 + k2 + 1], u[:, k1 + 1],
+        y[:, k1], u[:, 0],
+    ) / u.shape[0]
 
 
 def exact_sixth_moment_block(mix: MixtureSpec, k1: int, k2: int, k3: int) -> np.ndarray:
@@ -231,43 +240,30 @@ class MomentTensor6:
     @classmethod
     def estimate(cls, dataset, s: int, with_se: bool = False) -> "MomentTensor6":
         """Estimate every block from one streaming pass over the dataset."""
-        u, y = _stack_dataset(dataset, 6 * s + 3)
+        u, y = _stack_dataset(dataset, min_trajectory_length(s))
         return cls._estimate_from_arrays(u, y, s, with_se=with_se)
 
     @classmethod
     def _estimate_from_arrays(cls, u, y, s, with_se=False):
-        g = 2 * s + 1
         n = u.shape[0]
-        m, p = y.shape[2], u.shape[2]
-        triples = [(a, b, c) for a in range(g) for b in range(g) for c in range(g)]
-        sums, sumsqs = _sixth_moment_sums(u, y, triples, with_sq=with_se)
-        shape = (g, g, g) + _block_shape(m, p)
-        blocks = np.empty(shape)
-        se = np.empty(shape) if with_se else None
-        for t in triples:
-            mean = sums[t] / n
-            blocks[t] = mean.reshape(_block_shape(m, p))
-            if with_se:
-                var = np.maximum(sumsqs[t] / n - mean**2, 0.0)
-                se[t] = np.sqrt(var / n).reshape(_block_shape(m, p))
+        g = 2 * s + 1
+        shape = (g, g, g) + _block_shape(y.shape[2], u.shape[2])
+        sums, sumsqs = _sixth_moment_sums(u, y, s, with_sq=with_se)
+        blocks = (sums / n).reshape(shape)
+        se = None
+        if with_se:
+            var = np.maximum(sumsqs.reshape(shape) / n - blocks**2, 0.0)
+            se = np.sqrt(var / n)
         return cls(blocks=blocks, s=s, se=se)
 
     @classmethod
     def exact(cls, mix: MixtureSpec, s: int) -> "MomentTensor6":
         """Population blocks computed from the mixture parameters."""
-        g = 2 * s + 1
-        m, _, p = mix.dims
-        xs = [
-            [markov_parameter(comp, j) for j in range(g)] for comp in mix.components
-        ]
-        blocks = np.zeros((g, g, g) + _block_shape(m, p))
-        for w, x in zip(mix.weights, xs):
-            for k1 in range(g):
-                for k2 in range(g):
-                    for k3 in range(g):
-                        blocks[k1, k2, k3] += w * np.einsum(
-                            "ab,cd,ef->abcdef", x[k3], x[k2], x[k1]
-                        )
+        ks = range(2 * s + 1)
+        blocks = np.array([
+            [[exact_sixth_moment_block(mix, k1, k2, k3) for k3 in ks] for k2 in ks]
+            for k1 in ks
+        ])
         return cls(blocks=blocks, s=s)
 
 

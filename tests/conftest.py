@@ -1,8 +1,14 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from ldslab.io import load_mixture
+
+# Property tests draw the same examples on every run (reproducibility
+# contract); wall-clock deadlines would make them depend on the host.
+settings.register_profile("ldslab", derandomize=True, deadline=None)
+settings.load_profile("ldslab")
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 

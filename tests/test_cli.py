@@ -331,6 +331,27 @@ def test_sweep_usage_errors(tmp_path):
                  "--length", "1", "--truth-out", str(tmp_path / "t.json")]) == 2
 
 
+def test_minimum_trajectory_length_is_one_rule(tmp_path, capsys):
+    """At s=2 the estimators need length 6s+3 = 15: learn accepts it, and
+    learn (data error) and sweep (usage error) reject 14 with one message."""
+    truth = tmp_path / "truth.json"
+    save_mixture(truth, L.MixtureSpec(components=(scalar_params(0.5, d=1.0),), weights=[1.0]))
+    for length in (15, 14):
+        assert main(["generate", "--model", str(truth), "--n-traj", "500",
+                     "--length", str(length), "--seed", "1",
+                     "--out", str(tmp_path / f"ds{length}.jsonl"),
+                     "--truth-out", str(tmp_path / "t.json")]) == 0
+    learn = ["learn", "--k", "1", "--n", "1", "--s", "2", "--out", str(tmp_path / "m.json")]
+    assert main(learn + ["--data", str(tmp_path / "ds15.jsonl")]) == 0
+    capsys.readouterr()
+    message = "trajectories of length 14 are too short; need length >= 15"
+    assert main(learn + ["--data", str(tmp_path / "ds14.jsonl")]) == 3
+    assert message in capsys.readouterr().err
+    assert main(["sweep", "--truth", str(truth), "--k", "1", "--n", "1", "--s", "2",
+                 "--length", "14", "--n-grid", "100", "--out", str(tmp_path / "s")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_error_line_is_machine_parseable(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "ldslab.cli", "learn", "--data",

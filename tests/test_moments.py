@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ldslab as L
+from ldslab import moments
 from ldslab.errors import DataError
 from ldslab.moments import MomentTensor6
 
@@ -107,20 +112,42 @@ def test_exact_sixth_moment_matrix_structure():
     assert np.allclose(block, expect)
 
 
-def test_moment_grid_matches_per_block_estimates():
-    rng = np.random.default_rng(7)
-    mix = L.random_mixture(2, (2, 2, 2), rng)
-    s = 1
-    ds = L.sample_mixture_dataset(mix, 300, 6 * (s + 1), L.NoiseConfig(seed=8))
-    grid = MomentTensor6.estimate(ds, s)
-    for k1 in range(2 * s + 1):
-        for k2 in range(2 * s + 1):
-            for k3 in range(2 * s + 1):
-                assert np.allclose(
-                    grid.block(k1, k2, k3),
-                    L.estimate_sixth_moment_block(ds, k1, k2, k3),
-                    atol=1e-12,
-                )
+@given(
+    m=st.integers(1, 3),
+    p=st.integers(1, 3),
+    s=st.integers(0, 2),
+    n_traj=st.integers(2, 11),
+    chunk=st.integers(1, 4),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_moment_grid_matches_per_block_estimates(m, p, s, n_traj, chunk, extra, seed):
+    """The chunked grid kernel and its standard errors agree with the
+    direct per-block einsum, across chunk boundaries and a partial last
+    chunk."""
+    rng = np.random.default_rng(seed)
+    length = 6 * s + 3 + extra
+    ds = [
+        L.Trajectory(u=rng.standard_normal((length, p)), y=rng.standard_normal((length, m)))
+        for _ in range(n_traj)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "_CHUNK", chunk)
+        grid = MomentTensor6.estimate(ds, s, with_se=True)
+    squared = [L.Trajectory(u=t.u**2, y=t.y**2) for t in ds]
+    g = 2 * s + 1
+    for k1, k2, k3 in itertools.product(range(g), repeat=3):
+        mean = L.estimate_sixth_moment_block(ds, k1, k2, k3)
+        mean_sq = L.estimate_sixth_moment_block(squared, k1, k2, k3)
+        np.testing.assert_allclose(
+            grid.block(k1, k2, k3), mean, rtol=0, atol=1e-12 * np.abs(mean).max()
+        )
+        # compared as variances: the square root would amplify the rounding
+        # of mean_sq - mean**2 wherever the two nearly cancel
+        var = np.maximum(mean_sq - mean**2, 0.0) / n_traj
+        np.testing.assert_allclose(
+            grid.se[k1, k2, k3] ** 2, var, rtol=0, atol=1e-12 * mean_sq.max() / n_traj
+        )
 
 
 def test_sixth_moment_monte_carlo_scalar():
