@@ -19,24 +19,21 @@ from .errors import (
 )
 from .hokalman import build_hankel, ho_kalman, realization_residual
 from .lds import (
+    Dataset,
     LdsParams,
     MixtureSpec,
     NoiseConfig,
     Trajectory,
     WellBehavedReport,
-    closed_form_observation,
     controllability_matrix,
     draw_lds_noise,
     joint_nondegeneracy_gamma,
     markov_matrix,
     markov_parameter,
     observability_matrix,
-    power_norm_check,
     random_lds,
     random_mixture,
     sample_mixture_dataset,
-    simulate_from_noise,
-    simulate_trajectory,
     well_behaved_report,
 )
 from .learn import (
@@ -47,7 +44,6 @@ from .learn import (
     learn_markov_components,
     learn_mixture,
     learn_mixture_from_moments,
-    normalize_fully_observed,
     recover_weights,
 )
 from .moments import (
@@ -55,11 +51,8 @@ from .moments import (
     FlatTensor3,
     MomentTensor6,
     assemble_pi,
-    estimate_cross_covariance,
-    estimate_sixth_moment_block,
     exact_cross_covariance,
     exact_sixth_moment_block,
-    flatten_markov,
     min_trajectory_length,
     symmetrize_tensor3,
     unflatten_markov,

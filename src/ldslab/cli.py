@@ -29,7 +29,6 @@ from .io import (
     dumps_json,
     load_dataset,
     load_mixture,
-    mixture_to_dict,
     save_dataset,
     save_mixture,
     save_report,
@@ -112,18 +111,14 @@ def _load_truth_or_random(args):
     )
 
 
-def _generate_dataset(mix, args):
-    noise = NoiseConfig(seed=args.seed, noise_scale=args.noise_scale)
-    return sample_mixture_dataset(mix, args.n_traj, args.length, noise)
-
-
 def cmd_generate(args) -> int:
     _require(args, "out", "truth_out", "n_traj", "length")
     _positive(args, "n_traj", "length")
     times = {}
     t0 = time.perf_counter()
     mix = _load_truth_or_random(args)
-    dataset = _generate_dataset(mix, args)
+    noise = NoiseConfig(seed=args.seed, noise_scale=args.noise_scale)
+    dataset = sample_mixture_dataset(mix, args.n_traj, args.length, noise)
     times["generate"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     save_dataset(args.out, dataset)
@@ -214,7 +209,8 @@ def cmd_cluster(args) -> int:
     dataset = load_dataset(args.data)
     posteriors = cluster_dataset(model, dataset)
     k = model.k
-    have_labels = all(t.label is not None for t in dataset)
+    labels = dataset.labels
+    have_labels = labels is not None
     header = ["index"]
     if have_labels:
         header.append("label")
@@ -223,14 +219,14 @@ def cmd_cluster(args) -> int:
         header.append("correct")
     rows = []
     n_correct = 0
-    for idx, (traj, post) in enumerate(zip(dataset, posteriors)):
+    for idx, post in enumerate(posteriors):
         row = [idx]
         if have_labels:
-            row.append(traj.label)
+            row.append(int(labels[idx]))
         row += [float(p) for p in post.probabilities]
         row.append(post.argmax)
         if have_labels:
-            correct = post.argmax == traj.label
+            correct = post.argmax == labels[idx]
             n_correct += int(correct)
             row.append(bool(correct))
         rows.append(row)

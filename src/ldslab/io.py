@@ -15,18 +15,22 @@ Dataset file (JSON Lines), one trajectory per line, 0-based time::
 
     {"label": 0, "u": [[...], ...], "y": [[...], ...]}
 
-``label`` is null for unlabelled data.
+``label`` is null for unlabelled data.  Every line of one file holds a
+trajectory of the same length and the same (p, m), and either every line
+carries a label or none does.
 """
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import DataError
-from .lds import LdsParams, MixtureSpec, Trajectory
+from .lds import Dataset, LdsParams, MixtureSpec, require_dataset
+from .lds import Trajectory  # noqa: F401  (kept as io.Trajectory: perfbench wraps it)
 
 __all__ = [
     "dumps_json",
@@ -78,19 +82,26 @@ def dumps_json(obj, indent: int = 0, _level: int = 0) -> str:
     raise DataError(f"cannot serialize object of type {type(obj)!r}")
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to ``path`` via a temp file and rename."""
+@contextmanager
+def _atomic_open(path: str):
+    """Text handle on a temp file, renamed to ``path`` unless the block raises."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to ``path`` via a temp file and rename."""
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def mixture_to_dict(model) -> dict:
@@ -133,40 +144,68 @@ def load_mixture(path: str) -> MixtureSpec:
     return mix
 
 
-def save_dataset(path: str, dataset) -> None:
-    lines = []
-    for traj in dataset:
-        label = "null" if traj.label is None else str(int(traj.label))
-        u = ",".join(
-            "[" + ",".join(_format_float(v) for v in row) + "]" for row in traj.u
-        )
-        y = ",".join(
-            "[" + ",".join(_format_float(v) for v in row) + "]" for row in traj.y
-        )
-        lines.append(f'{{"label": {label}, "u": [{u}], "y": [{y}]}}')
-    atomic_write_text(path, "\n".join(lines) + "\n")
+# Trajectories formatted per batch in save_dataset; bounds the text held at once.
+_SAVE_BATCH = 4096
 
 
-def load_dataset(path: str) -> list:
-    dataset = []
+def save_dataset(path: str, dataset: Dataset) -> None:
+    """Write one JSON line per trajectory, floats at 17 significant digits."""
+    u, y, labels = require_dataset(dataset).u, dataset.y, dataset.labels
+    if not (np.isfinite(u).all() and np.isfinite(y).all()):
+        raise DataError("cannot serialize a dataset with non-finite values")
+    (n_traj, length, p), m = u.shape, y.shape[2]
+    rows = [",".join(["[" + ",".join(["%.17g"] * w) + "]"] * length) for w in (p, m)]
+    line = '{"label": %s, "u": [' + rows[0] + '], "y": [' + rows[1] + "]}\n"
+    with _atomic_open(path) as handle:
+        for start in range(0, n_traj, _SAVE_BATCH):
+            part = slice(start, start + _SAVE_BATCH)
+            values = np.concatenate(
+                [u[part].reshape(-1, length * p), y[part].reshape(-1, length * m)], axis=1
+            )
+            tags = ["null"] * len(values) if labels is None else labels[part].tolist()
+            handle.write("".join(line % (tag, *row) for tag, row in zip(tags, values.tolist())))
+
+
+def load_dataset(path: str) -> Dataset:
+    """Read a dataset file into one Dataset.
+
+    A malformed line, a trajectory whose shape differs from the first
+    line's, or a mix of labelled and unlabelled lines raises DataError
+    naming ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        n_traj = sum(1 for line in handle if line.strip())
+        if not n_traj:
+            raise DataError(f"dataset file {path} is empty")
+        handle.seek(0)
+        lines = ((lineno, line) for lineno, line in enumerate(handle, start=1) if line.strip())
+        for row, (lineno, line) in enumerate(lines):
             try:
                 raw = json.loads(line)
-                traj = Trajectory(
-                    u=np.asarray(raw["u"], dtype=float),
-                    y=np.asarray(raw["y"], dtype=float),
-                    label=None if raw.get("label") is None else int(raw["label"]),
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+                u_row, y_row = np.asarray(raw["u"], dtype=float), np.asarray(raw["y"], dtype=float)
+                label = None if raw.get("label") is None else int(raw["label"])
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed trajectory: {exc}") from exc
-            dataset.append(traj)
-    if not dataset:
-        raise DataError(f"dataset file {path} is empty")
-    return dataset
+            if row == 0:
+                first, u, y = lineno, np.empty((n_traj, *u_row.shape)), np.empty((n_traj, *y_row.shape))
+                labels = None if label is None else np.empty(n_traj, dtype=int)
+            if u_row.shape != u.shape[1:] or y_row.shape != y.shape[1:]:
+                raise DataError(
+                    f"{path}:{lineno}: u {u_row.shape} and y {y_row.shape} differ from line "
+                    f"{first}; every trajectory of a dataset has the same length and (p, m)"
+                )
+            if (label is None) != (labels is None):
+                raise DataError(f"{path}:{lineno}: labelled and unlabelled lines are mixed "
+                                f"(see line {first}); give labels on every line or on none")
+            u[row], y[row] = u_row, y_row
+            if labels is not None:
+                labels[row] = label
+    u.setflags(write=False)
+    y.setflags(write=False)
+    try:
+        return Dataset(u=u, y=y, labels=labels)
+    except DataError as exc:
+        raise DataError(f"dataset file {path}: {exc}") from exc
 
 
 def save_report(path_base: str, header, rows) -> None:

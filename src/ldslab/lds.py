@@ -16,24 +16,24 @@ Time is 0-based throughout: a length-``l`` trajectory holds
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .rng import substream
+from .rng import substream  # noqa: F401  (kept as lds.substream: perfbench wraps it)
+from .rng import substream_draws
 
 __all__ = [
     "LdsParams",
     "MixtureSpec",
     "Trajectory",
+    "Dataset",
     "NoiseConfig",
     "WellBehavedReport",
-    "simulate_trajectory",
     "draw_lds_noise",
-    "simulate_from_noise",
-    "closed_form_observation",
     "sample_mixture_dataset",
     "observability_matrix",
     "controllability_matrix",
@@ -41,7 +41,6 @@ __all__ = [
     "markov_matrix",
     "joint_nondegeneracy_gamma",
     "well_behaved_report",
-    "power_norm_check",
     "random_lds",
     "random_mixture",
 ]
@@ -50,10 +49,13 @@ __all__ = [
 RANK_RTOL = 1e-10
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+def _freeze(arr, dtype=float) -> np.ndarray:
+    """``arr`` as a write-protected array; copied unless it already is one."""
+    arr = np.asarray(arr, dtype=dtype)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -161,19 +163,85 @@ class Trajectory:
     label: Optional[int] = None
 
     def __post_init__(self):
-        u = np.atleast_2d(np.asarray(self.u, dtype=float))
-        y = np.atleast_2d(np.asarray(self.y, dtype=float))
-        if u.shape[0] != y.shape[0]:
-            raise DataError(f"u has {u.shape[0]} steps but y has {y.shape[0]}")
-        if u.shape[0] < 1:
-            raise DataError("trajectory must have length >= 1")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
+        u, y = (_freeze(np.atleast_2d(np.asarray(v, dtype=float))) for v in (self.u, self.y))
+        if u.shape[0] != y.shape[0] or u.shape[0] < 1:
+            raise DataError(f"u has {u.shape[0]} steps but y has {y.shape[0]}; need equal lengths >= 1")
+        if not (np.isfinite(u).all() and np.isfinite(y).all()):
             raise DataError("trajectory contains non-finite entries")
-        object.__setattr__(self, "u", _freeze(u))
-        object.__setattr__(self, "y", _freeze(y))
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "y", y)
 
     def __len__(self) -> int:
         return self.u.shape[0]
+
+
+@dataclass(frozen=True, eq=False)  # identity equality: fields are arrays
+class Dataset:
+    """N trajectories of one length l, held as arrays u (N, l, p), y (N, l, m).
+
+    ``labels`` (N,) holds the generating component indices when known
+    (simulation only), else None; learners must not read it.  The arrays
+    are validated once and write-protected (copied unless already
+    read-only).  ``ds[i]`` is a :class:`Trajectory` view, ``ds[a:b]`` a
+    Dataset view, and iterating yields Trajectory views.
+    """
+
+    u: np.ndarray
+    y: np.ndarray
+    labels: Optional[np.ndarray] = None
+    _view = Trajectory  # bound here: perfbench wraps lds.Trajectory to count builds
+
+    def __post_init__(self):
+        u, y = _freeze(self.u), _freeze(self.y)
+        if u.ndim != 3 or y.ndim != 3 or u.shape[:2] != y.shape[:2] or 0 in u.shape[:2]:
+            raise DataError(
+                f"expected u (N, l, p) and y (N, l, m) with N, l >= 1, got {u.shape} and {y.shape}"
+            )
+        if not (np.isfinite(u).all() and np.isfinite(y).all()):
+            raise DataError("dataset contains non-finite entries")
+        labels = None if self.labels is None else _freeze(self.labels, dtype=None)
+        if labels is not None and (labels.shape != u.shape[:1] or labels.dtype.kind not in "iu"):
+            raise DataError(f"expected {len(u)} integer labels, got {labels!r}")
+        for name, arr in (("u", u), ("y", y), ("labels", labels)):
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_trajectories(cls, trajectories) -> "Dataset":
+        """Stack trajectories of one length and one (p, m).  Labels are kept
+        when all are labelled and dropped when none is; a mix raises."""
+        trajs = list(trajectories)
+        if len({(t.u.shape, t.y.shape) for t in trajs}) > 1:
+            raise DataError("trajectories of a dataset must share one length and one (p, m)")
+        labels = [t.label for t in trajs]
+        if None in labels and labels.count(None) < len(labels):
+            raise DataError("labels must be given for every trajectory or for none")
+        return cls(u=np.array([t.u for t in trajs]), y=np.array([t.y for t in trajs]),
+                   labels=None if None in labels else labels)
+
+    @property
+    def length(self) -> int:
+        return self.u.shape[1]
+
+    def __len__(self) -> int:
+        return self.u.shape[0]
+
+    def __getitem__(self, index):
+        label = None if self.labels is None else self.labels[index]
+        if isinstance(index, slice):
+            return Dataset(u=self.u[index], y=self.y[index], labels=label)
+        index = operator.index(index)
+        label = None if label is None else int(label)
+        return self._view(u=self.u[index], y=self.y[index], label=label)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def require_dataset(obj) -> Dataset:
+    if not isinstance(obj, Dataset):
+        raise DataError(f"expected a Dataset, got {type(obj).__name__}; "
+                        "build one with Dataset.from_trajectories")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -222,101 +290,38 @@ def _iterate_batch(params: LdsParams, x0, u, w, z):
     return y
 
 
-def simulate_from_noise(params: LdsParams, x0, u, w, z, label=None) -> Trajectory:
-    """Iterate the recurrences for given noise realizations."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != params.n:
-        raise DimensionError("x0", f"expected length {params.n}, got {x0.shape[0]}")
-    if u.shape[1] != params.p:
-        raise DimensionError("u", f"expected width {params.p}, got {u.shape[1]}")
-    if w.shape[1] != params.n:
-        raise DimensionError("w", f"expected width {params.n}, got {w.shape[1]}")
-    if z.shape[1] != params.m:
-        raise DimensionError("z", f"expected width {params.m}, got {z.shape[1]}")
-    y = _iterate_batch(params, x0[None, :], u[None], w[None], z[None])[0]
-    return Trajectory(u=u, y=y, label=label)
-
-
-def simulate_trajectory(
-    params: LdsParams, length: int, noise: NoiseConfig, rng: np.random.Generator
-) -> Trajectory:
-    """Simulate one trajectory of the requested length.
-
-    Deterministic given the generator state; the noise draw order is
-    documented in :func:`draw_lds_noise`.
-    """
-    if length < 1:
-        raise DataError("length must be >= 1")
-    x0, u, w, z = draw_lds_noise(params.dims, length, noise, rng)
-    return simulate_from_noise(params, x0, u, w, z)
-
-
-def closed_form_observation(params: LdsParams, t: int, u, w, z, x0) -> np.ndarray:
-    """Evaluate y[t] directly from the unrolled recurrence.
-
-    y[t] = sum_{i=1..t} (C A^{i-1} B u[t-i] + C A^{i-1} w[t-i])
-           + C A^t x0 + D u[t] + z[t]
-
-    Independent oracle for :func:`simulate_trajectory`: it never iterates
-    the state recursion.
-    """
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if t < 0 or t >= u.shape[0] or t >= w.shape[0] or t >= z.shape[0]:
-        raise DataError(f"index t={t} out of range for the provided sequences")
-    acc = params.d @ u[t] + z[t]
-    apow = np.eye(params.n)
-    for i in range(1, t + 1):
-        # apow == A^(i-1) on entry
-        acc = acc + params.c @ (apow @ (params.b @ u[t - i] + w[t - i]))
-        apow = params.a @ apow
-    acc = acc + params.c @ (apow @ x0)
-    return acc
-
-
-def _draw_labels_and_noise(mix: MixtureSpec, n_traj, length, noise):
-    m, n, p = mix.dims
-    cumw = np.cumsum(mix.weights)
-    labels = np.empty(n_traj, dtype=int)
-    x0 = np.empty((n_traj, n))
-    u = np.empty((n_traj, length, p))
-    w = np.empty((n_traj, length, n))
-    z = np.empty((n_traj, length, m))
-    for i in range(n_traj):
-        rng = substream(noise.seed, i)
-        labels[i] = int(np.searchsorted(cumw, rng.random(), side="right"))
-        x0[i], u[i], w[i], z[i] = draw_lds_noise((m, n, p), length, noise, rng)
-    labels[labels >= mix.k] = mix.k - 1  # guard against rounding at cumw[-1]
-    return labels, x0, u, w, z
-
-
 def sample_mixture_dataset(
     mix: MixtureSpec, n_traj: int, length: int, noise: NoiseConfig
-) -> list:
-    """Draw ``n_traj`` labelled trajectories from the mixture.
+) -> Dataset:
+    """Draw ``n_traj`` labelled trajectories of one length from the mixture.
 
-    Trajectory ``i`` consumes only substream ``i`` of ``noise.seed``
-    (label draw first, then the noise block), so the dataset is
-    reproducible bit-for-bit at any degree of parallelism.
+    Trajectory ``i`` consumes only substream ``i`` of ``noise.seed``: one
+    uniform for its label, then one normal block split into x0, u, w, z
+    in the order of :func:`draw_lds_noise`, so the dataset is
+    reproducible bit for bit at any degree of parallelism.
     """
     if n_traj < 1:
         raise DataError("n_traj must be >= 1")
     if length < 1:
         raise DataError("length must be >= 1")
-    labels, x0, u, w, z = _draw_labels_and_noise(mix, n_traj, length, noise)
-    y = np.empty((n_traj, length, mix.dims[0]))
+    m, n, p = mix.dims
+    u_end, w_end = n + length * p, n + length * (p + n)
+    uniforms, block = substream_draws(noise.seed, n_traj, w_end + length * m)
+    labels = np.searchsorted(np.cumsum(mix.weights), uniforms, side="right")
+    labels = np.minimum(labels, mix.k - 1)  # guard against rounding at cumw[-1]
+    block[:, :n] *= noise.noise_scale
+    block[:, u_end:] *= noise.noise_scale
+    x0 = block[:, :n]
+    u = block[:, n:u_end].reshape(n_traj, length, p)
+    w = block[:, u_end:w_end].reshape(n_traj, length, n)
+    z = block[:, w_end:].reshape(n_traj, length, m)
+    y = np.empty((n_traj, length, m))
     for ci, comp in enumerate(mix.components):
         idx = np.flatnonzero(labels == ci)
         if idx.size:
             y[idx] = _iterate_batch(comp, x0[idx], u[idx], w[idx], z[idx])
-    return [
-        Trajectory(u=u[i], y=y[i], label=int(labels[i])) for i in range(n_traj)
-    ]
+    y.setflags(write=False)
+    return Dataset(u=u, y=y, labels=labels)  # copies u out of the block
 
 
 def observability_matrix(params: LdsParams, s: int) -> np.ndarray:
@@ -344,19 +349,11 @@ def controllability_matrix(params: LdsParams, s: int) -> np.ndarray:
 
 
 def markov_parameter(params: LdsParams, j: int) -> np.ndarray:
-    """The j-th impulse-response block: D for j=0, else C A^(j-1) B.
-
-    Accumulates A^(j-1) B by repeated left-multiplication, the same
-    order :func:`markov_matrix` uses, so blocks agree bit for bit.
-    """
+    """The j-th impulse-response block: D for j=0, else C A^(j-1) B; block j
+    of :func:`markov_matrix`."""
     if j < 0:
         raise DataError("j must be >= 0")
-    if j == 0:
-        return params.d.copy()
-    apow_b = params.b
-    for _ in range(j - 1):
-        apow_b = params.a @ apow_b
-    return params.c @ apow_b
+    return markov_matrix(params, j)[:, j * params.p :]
 
 
 def markov_matrix(params: LdsParams, big_t: int) -> np.ndarray:
@@ -392,6 +389,14 @@ def _rank(mat: np.ndarray) -> int:
 
 def _spectral_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2))
+
+
+def _rank_and_ratio(small: np.ndarray, big: np.ndarray, n: int):
+    """(rank(small) == n, sigma_n(small), sigma_max(big) / sigma_n(small))."""
+    sv = np.linalg.svd(small, compute_uv=False)
+    sigma_n = sv[min(n, len(sv)) - 1]
+    ratio = np.linalg.svd(big, compute_uv=False)[0] / sigma_n if sigma_n > 0 else np.inf
+    return _rank(small) == n, sigma_n, ratio
 
 
 @dataclass(frozen=True)
@@ -439,40 +444,19 @@ def well_behaved_report(
     sigma_min(Q_{i,s}) <= sqrt(s)*kappa, which hold whenever the
     assumptions do; they do not gate ``ok``.
     """
-    k = mix.k
     n = mix.dims[1]
     norms = {
         name: np.array([_spectral_norm(getattr(c, name)) for c in mix.components])
         for name in ("a", "b", "c", "d")
     }
-    obs_ratio = np.empty(k)
-    ctrl_ratio = np.empty(k)
-    obs_rank_ok = np.empty(k, dtype=bool)
-    ctrl_rank_ok = np.empty(k, dtype=bool)
-    sigma_min_obs = np.empty(k)
-    sigma_min_ctrl = np.empty(k)
-    for i, comp in enumerate(mix.components):
-        o_s = observability_matrix(comp, s)
-        o_2s = observability_matrix(comp, 2 * s)
-        q_s = controllability_matrix(comp, s)
-        q_2s = controllability_matrix(comp, 2 * s)
-        sv_o = np.linalg.svd(o_s, compute_uv=False)
-        sv_q = np.linalg.svd(q_s, compute_uv=False)
-        sigma_min_obs[i] = sv_o[min(n, len(sv_o)) - 1]
-        sigma_min_ctrl[i] = sv_q[min(n, len(sv_q)) - 1]
-        obs_rank_ok[i] = _rank(o_s) == n
-        ctrl_rank_ok[i] = _rank(q_s) == n
-        with np.errstate(divide="ignore"):
-            obs_ratio[i] = (
-                np.linalg.svd(o_2s, compute_uv=False)[0] / sigma_min_obs[i]
-                if sigma_min_obs[i] > 0
-                else np.inf
-            )
-            ctrl_ratio[i] = (
-                np.linalg.svd(q_2s, compute_uv=False)[0] / sigma_min_ctrl[i]
-                if sigma_min_ctrl[i] > 0
-                else np.inf
-            )
+    obs_rank_ok, sigma_min_obs, obs_ratio = (np.array(v) for v in zip(*(
+        _rank_and_ratio(observability_matrix(c, s), observability_matrix(c, 2 * s), n)
+        for c in mix.components
+    )))
+    ctrl_rank_ok, sigma_min_ctrl, ctrl_ratio = (np.array(v) for v in zip(*(
+        _rank_and_ratio(controllability_matrix(c, s), controllability_matrix(c, 2 * s), n)
+        for c in mix.components
+    )))
     measured_gamma = joint_nondegeneracy_gamma(mix, s)
     checks = {
         "weights": bool(np.all(mix.weights >= w_min)),
@@ -510,15 +494,6 @@ def well_behaved_report(
         measured=measured,
         diagnostics=diagnostics,
     )
-
-
-def power_norm_check(params: LdsParams, s: int, kappa: float, t: int) -> bool:
-    """Check ||A^t||_F <= (sqrt(n) * kappa)^(t/s)."""
-    if t < 1:
-        raise DataError("t must be >= 1")
-    lhs = np.linalg.norm(np.linalg.matrix_power(params.a, t), "fro")
-    rhs = (np.sqrt(params.n) * kappa) ** (t / s)
-    return bool(lhs <= rhs)
 
 
 def random_lds(

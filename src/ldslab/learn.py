@@ -20,14 +20,12 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, NumericalError
 from .hokalman import ho_kalman
-from .lds import LdsParams, MixtureSpec, markov_matrix, observability_matrix
+from .lds import MixtureSpec, markov_matrix, observability_matrix
 from .moments import (
     CrossCovarianceStack,
     FlatTensor3,
     MomentTensor6,
-    _stack_dataset,
     assemble_pi,
-    min_trajectory_length,
     symmetrize_tensor3,
     unflatten_markov,
 )
@@ -42,7 +40,6 @@ __all__ = [
     "learn_mixture",
     "learn_mixture_from_moments",
     "align_similarity",
-    "normalize_fully_observed",
 ]
 
 # Floor applied to negative regression weights; activating it is recorded
@@ -245,14 +242,13 @@ def learn_mixture(
     rng: np.random.Generator,
     tol: float = 1.0,
 ) -> LearnedMixture:
-    """Learn a k-component mixture of order-n systems from trajectories.
+    """Learn a k-component mixture of order-n systems from a Dataset.
 
-    Trajectories must have length >= min_trajectory_length(s) = 6s+3;
+    Its trajectories must have length >= min_trajectory_length(s) = 6s+3;
     the estimators use indices up to 6s+2.
     """
-    u, y = _stack_dataset(dataset, min_trajectory_length(s))
-    flat = assemble_pi(MomentTensor6._estimate_from_arrays(u, y, s))
-    rhat = CrossCovarianceStack._estimate_from_arrays(u, y, s)
+    flat = assemble_pi(MomentTensor6.estimate(dataset, s))
+    rhat = CrossCovarianceStack.estimate(dataset, s)
     return learn_mixture_from_moments(flat, rhat, k, n, s, rng, tol=tol)
 
 
@@ -359,26 +355,4 @@ def align_similarity(truth: MixtureSpec, learned, s: int) -> AlignmentReport:
         d_err=d_err,
         w_err=w_err,
         flagged=flagged,
-    )
-
-
-def normalize_fully_observed(params: LdsParams) -> LdsParams:
-    """Change state basis so the observation matrix becomes the identity.
-
-    Requires m == n and an invertible C.  Used to compare likelihoods of
-    learned realizations in the fully observed setting, where C = I
-    removes the similarity freedom.
-    """
-    if params.m != params.n:
-        raise DataError(f"need m == n for a C=I realization, got m={params.m}, n={params.n}")
-    cond = np.linalg.cond(params.c)
-    if not np.isfinite(cond) or cond > COND_FLAG:
-        raise NumericalError(f"observation matrix is numerically singular (cond={cond:g})")
-    t = params.c
-    t_inv = np.linalg.inv(t)
-    return LdsParams(
-        a=t @ params.a @ t_inv,
-        b=t @ params.b,
-        c=np.eye(params.n),
-        d=params.d.copy(),
     )

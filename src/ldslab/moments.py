@@ -34,19 +34,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DimensionError
-from .lds import MixtureSpec, markov_parameter
+from .lds import MixtureSpec, markov_parameter, require_dataset
 
 __all__ = [
     "CrossCovarianceStack",
     "MomentTensor6",
     "FlatTensor3",
-    "estimate_cross_covariance",
     "exact_cross_covariance",
-    "estimate_sixth_moment_block",
     "exact_sixth_moment_block",
     "assemble_pi",
     "symmetrize_tensor3",
-    "flatten_markov",
     "unflatten_markov",
     "min_trajectory_length",
 ]
@@ -67,39 +64,16 @@ def too_short_message(length: int, need: int) -> str:
     return f"trajectories of length {length} are too short; need length >= {need}"
 
 
-def _stack_dataset(dataset, min_length: int):
-    """Stack a trajectory list into (U, Y) arrays, truncated to the
-    shortest common length (which must be >= min_length)."""
-    if not dataset:
-        raise DataError("empty dataset")
-    length = min(len(t) for t in dataset)
-    if length < min_length:
-        raise DataError(too_short_message(length, min_length))
-    p = dataset[0].u.shape[1]
-    m = dataset[0].y.shape[1]
-    for i, t in enumerate(dataset):
-        if t.u.shape[1] != p or t.y.shape[1] != m:
-            raise DataError(f"trajectory {i} dims differ from trajectory 0")
-    u = np.stack([t.u[:length] for t in dataset])
-    y = np.stack([t.y[:length] for t in dataset])
-    return u, y
-
-
-def estimate_cross_covariance(dataset, k1: int) -> np.ndarray:
-    """Empirical mean of y[k1] u[0]^T over the dataset (m-by-p)."""
-    if k1 < 0:
-        raise DataError("k1 must be >= 0")
-    u, y = _stack_dataset(dataset, k1 + 1)
-    return _cross_covariance_from_arrays(u, y, k1)
-
-
-def _cross_covariance_from_arrays(u, y, k1: int) -> np.ndarray:
-    prods = np.einsum("bm,bp->bmp", y[:, k1, :], u[:, 0, :])
-    return np.sum(prods, axis=0) / u.shape[0]
+def _arrays(dataset, min_length: int):
+    """(u, y) of a Dataset whose trajectories have length >= min_length."""
+    dataset = require_dataset(dataset)
+    if dataset.length < min_length:
+        raise DataError(too_short_message(dataset.length, min_length))
+    return dataset.u, dataset.y
 
 
 def exact_cross_covariance(mix: MixtureSpec, k1: int) -> np.ndarray:
-    """sum_i w_i X_{i,k1}; the population value of the estimator above."""
+    """sum_i w_i X_{i,k1}; the population value of Rhat[k1]."""
     m, _, p = mix.dims
     out = np.zeros((m, p))
     for w, comp in zip(mix.weights, mix.components):
@@ -117,13 +91,10 @@ class CrossCovarianceStack:
 
     @classmethod
     def estimate(cls, dataset, s: int) -> "CrossCovarianceStack":
-        u, y = _stack_dataset(dataset, 2 * s + 1)
-        return cls._estimate_from_arrays(u, y, s)
-
-    @classmethod
-    def _estimate_from_arrays(cls, u, y, s: int) -> "CrossCovarianceStack":
+        u, y = _arrays(dataset, 2 * s + 1)
         blocks = tuple(
-            _cross_covariance_from_arrays(u, y, k1) for k1 in range(2 * s + 1)
+            np.einsum("bm,bp->bmp", y[:, k1], u[:, 0]).sum(axis=0) / len(u)
+            for k1 in range(2 * s + 1)
         )
         return cls(blocks=blocks, assembled=np.hstack(blocks), s=s)
 
@@ -176,20 +147,6 @@ def _block_shape(m, p):
     return (m, p, m, p, m, p)
 
 
-def estimate_sixth_moment_block(dataset, k1: int, k2: int, k3: int) -> np.ndarray:
-    """Empirical sixth-moment block (m,p,m,p,m,p) for one (k1, k2, k3)."""
-    for name, k in (("k1", k1), ("k2", k2), ("k3", k3)):
-        if k < 0:
-            raise DataError(f"{name} must be >= 0")
-    u, y = _stack_dataset(dataset, k1 + k2 + k3 + 3)
-    return np.einsum(
-        "za,zb,zc,zd,ze,zf->abcdef",
-        y[:, k1 + k2 + k3 + 2], u[:, k1 + k2 + 2],
-        y[:, k1 + k2 + 1], u[:, k1 + 1],
-        y[:, k1], u[:, 0],
-    ) / u.shape[0]
-
-
 def exact_sixth_moment_block(mix: MixtureSpec, k1: int, k2: int, k3: int) -> np.ndarray:
     """sum_j w_j X_{j,k3} (x) X_{j,k2} (x) X_{j,k1}, shape (m,p,m,p,m,p)."""
     m, _, p = mix.dims
@@ -240,11 +197,7 @@ class MomentTensor6:
     @classmethod
     def estimate(cls, dataset, s: int, with_se: bool = False) -> "MomentTensor6":
         """Estimate every block from one streaming pass over the dataset."""
-        u, y = _stack_dataset(dataset, min_trajectory_length(s))
-        return cls._estimate_from_arrays(u, y, s, with_se=with_se)
-
-    @classmethod
-    def _estimate_from_arrays(cls, u, y, s, with_se=False):
+        u, y = _arrays(dataset, min_trajectory_length(s))
         n = u.shape[0]
         g = 2 * s + 1
         shape = (g, g, g) + _block_shape(y.shape[2], u.shape[2])
@@ -320,21 +273,9 @@ def symmetrize_tensor3(t: np.ndarray) -> np.ndarray:
     return out / 6.0
 
 
-def flatten_markov(gmat: np.ndarray, p: int) -> np.ndarray:
-    """Flatten an m-by-(T+1)p Markov matrix to a vector of length (T+1)mp.
-
-    Inverse of :func:`unflatten_markov`; preserves the Frobenius norm.
-    """
-    gmat = np.asarray(gmat, dtype=float)
-    m, width = gmat.shape
-    if width % p != 0:
-        raise DimensionError("gmat", f"width {width} not a multiple of p={p}")
-    nblocks = width // p
-    return gmat.reshape(m, nblocks, p).transpose(1, 0, 2).ravel()
-
-
 def unflatten_markov(vec: np.ndarray, m: int, p: int) -> np.ndarray:
-    """Rearrange a flattened Markov vector back into an m-by-(T+1)p matrix."""
+    """Rearrange a flattened Markov vector back into an m-by-(T+1)p matrix
+    (vector index k*(m*p) + row*p + col holds block k, row, col)."""
     vec = np.asarray(vec, dtype=float).ravel()
     if vec.size % (m * p) != 0:
         raise DimensionError("vec", f"length {vec.size} not a multiple of m*p={m * p}")

