@@ -8,6 +8,7 @@ from .cluster import (
     cluster_posterior,
     component_log_likelihood,
     kalman_log_likelihood,
+    log_likelihoods,
 )
 from .errors import (
     DataError,

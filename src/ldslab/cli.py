@@ -3,8 +3,9 @@
 Every run is fully determined by its configuration and seed: datasets
 are generated from per-trajectory substreams of the seed, and the learn
 stage uses ``numpy.random.default_rng(seed)``.  Re-running a command
-with identical inputs reproduces its output files byte for byte at any
-``LDSLAB_THREADS`` setting.
+with identical inputs reproduces its output files byte for byte.
+``cluster`` scores at the model file's ``noise_scale``, which ``generate``
+writes into the truth echo.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
 failure.  On a structured error the last stderr line is machine
@@ -15,6 +16,7 @@ parseable::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -111,13 +113,20 @@ def _load_truth_or_random(args):
     )
 
 
+def _with_noise_scale(args, mix):
+    """``mix`` at --noise-scale, when that flag is given."""
+    if args.noise_scale is None:
+        return mix
+    return dataclasses.replace(mix, noise_scale=args.noise_scale)
+
+
 def cmd_generate(args) -> int:
     _require(args, "out", "truth_out", "n_traj", "length")
     _positive(args, "n_traj", "length")
     times = {}
     t0 = time.perf_counter()
-    mix = _load_truth_or_random(args)
-    noise = NoiseConfig(seed=args.seed, noise_scale=args.noise_scale)
+    mix = _with_noise_scale(args, _load_truth_or_random(args))
+    noise = NoiseConfig(seed=args.seed, noise_scale=mix.noise_scale)
     dataset = sample_mixture_dataset(mix, args.n_traj, args.length, noise)
     times["generate"] = time.perf_counter() - t0
     t0 = time.perf_counter()
@@ -278,7 +287,7 @@ def cmd_sweep(args) -> int:
     need = min_trajectory_length(args.s)
     if args.length < need:
         raise UsageError(f"--length: {too_short_message(args.length, need)}")
-    truth = load_mixture(args.truth)
+    truth = _with_noise_scale(args, load_mixture(args.truth))
     header = [
         "n_traj", "a_err_max", "b_err_max", "c_err_max", "d_err_max",
         "max_param_error", "weight_error_max", "wall_time_s",
@@ -286,7 +295,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for n_traj in grid:
         t0 = time.perf_counter()
-        noise = NoiseConfig(seed=args.seed, noise_scale=args.noise_scale)
+        noise = NoiseConfig(seed=args.seed, noise_scale=truth.noise_scale)
         dataset = sample_mixture_dataset(truth, n_traj, args.length, noise)
         rng = np.random.default_rng(args.seed)
         learned = learn_mixture(dataset, args.k, args.n, args.s, rng, tol=args.tol)
@@ -334,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-gamma", type=float, default=0.0)
     p.add_argument("--n-traj", type=int)
     p.add_argument("--length", type=int)
-    p.add_argument("--noise-scale", type=float, default=1.0)
+    p.add_argument("--noise-scale", type=float, help="default: the model's noise_scale")
     p.add_argument("--out", help="dataset JSONL path")
     p.add_argument("--truth-out", help="ground-truth mixture JSON path")
     p.add_argument("--manifest")
@@ -385,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--length", type=int)
-    p.add_argument("--noise-scale", type=float, default=1.0)
+    p.add_argument("--noise-scale", type=float, help="default: the model's noise_scale")
     p.add_argument("--tol", type=float, default=1.0)
     p.add_argument("--n-grid", type=lambda v: [int(x) for x in v.split(",") if x],
                    help="comma-separated sample counts")

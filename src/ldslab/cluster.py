@@ -1,28 +1,27 @@
-"""Exact trajectory likelihoods and Bayes posterior over mixture components.
+"""Trajectory log-likelihoods and the Bayes posterior over mixture components.
 
-The joint vector (u[0..l-1], y[0..l-1]) of one trajectory is a linear
-image of the independent standard Gaussians (x0, u, w, z), hence itself
-Gaussian with zero mean; its log-density is evaluated from the assembled
-covariance.  A Kalman prediction-error decomposition provides a second,
-independent evaluation of the same density (``p(u, y) = p(u) p(y | u)``)
-and must agree to floating-point accuracy.
-
-Both evaluations assume the unit-covariance noise model (noise_scale=1).
+Both likelihoods use the Kalman prediction-error decomposition
+``log p(u, y) = sum_t log N(u[t]; 0, I) + log p(y | u)`` under noise
+covariance ``noise_scale**2 * I`` for x0, w[t] and z[t].  The covariance
+recursion (P_t, S_t, K_t) does not depend on the data, so the production
+path :func:`log_likelihoods` runs it once per component and filters all
+trajectories as one (N, n) array; :func:`kalman_log_likelihood` filters
+one trajectory at a time and is the independent reference.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .errors import NumericalError
-from .lds import LdsParams, Trajectory
-from .rng import worker_threads
+from .errors import DataError, NumericalError
+from .lds import Dataset, LdsParams, Trajectory, require_dataset
+from .learn import mixture_parts
 
 __all__ = [
     "PosteriorReport",
+    "log_likelihoods",
     "component_log_likelihood",
     "kalman_log_likelihood",
     "cluster_posterior",
@@ -30,76 +29,66 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-_JITTER = 1e-10
 
 
-def _joint_covariance(params: LdsParams, length: int) -> np.ndarray:
-    """Covariance of (u[0..l-1], y[0..l-1]) under the unit-noise model.
+def log_likelihoods(params: LdsParams, u: np.ndarray, y: np.ndarray,
+                    noise_scale: float = 1.0) -> np.ndarray:
+    """Exact Gaussian log-density of each trajectory under one component.
 
-    Built as F F^T where F maps the independent sources
-    (x0, u[0..l-1], w[0..l-2], z[0..l-1]) to the stacked trajectory.
+    ``u`` is (N, l, p) and ``y`` is (N, l, m); returns (N,).  Raises
+    NumericalError unless every innovation covariance is positive
+    definite, so noise_scale = 0 raises rather than returns a number.
     """
     m, n, p = params.dims
-    l = length
-    n_w = max(l - 1, 0)
-    cols = n + l * p + n_w * n + l * m
-    f = np.zeros((l * (p + m), cols))
-    u_off, w_off, z_off = n, n + l * p, n + l * p + n_w * n
-    # u rows: identity on the u source block
-    for t in range(l):
-        f[t * p : (t + 1) * p, u_off + t * p : u_off + (t + 1) * p] = np.eye(p)
-    # y rows
-    ca = [params.c.copy()]  # C A^i
-    for _ in range(l - 1):
-        ca.append(ca[-1] @ params.a)
-    y0 = l * p
-    for t in range(l):
-        rows = slice(y0 + t * m, y0 + (t + 1) * m)
-        f[rows, :n] = ca[t]  # x0 enters as C A^t
-        f[rows, u_off + t * p : u_off + (t + 1) * p] = params.d
-        for tau in range(t):
-            f[rows, u_off + tau * p : u_off + (tau + 1) * p] = ca[t - 1 - tau] @ params.b
-            f[rows, w_off + tau * n : w_off + (tau + 1) * n] = ca[t - 1 - tau]
-        f[rows, z_off + t * m : z_off + (t + 1) * m] = np.eye(m)
-    return f @ f.T
-
-
-def component_log_likelihood(params: LdsParams, traj: Trajectory) -> float:
-    """Exact Gaussian log-density of the trajectory under one component."""
-    l = len(traj)
-    cov = _joint_covariance(params, l)
-    v = np.concatenate([traj.u.ravel(), traj.y.ravel()])
-    dim = v.shape[0]
-    try:
-        chol = cho_factor(cov, lower=True)
-    except np.linalg.LinAlgError:
+    a, b, c, d = params.a, params.b, params.c, params.d
+    n_traj, length = u.shape[:2]
+    var = float(noise_scale) ** 2
+    if not var > 0:
+        raise NumericalError(f"noise_scale {noise_scale!r}: noise-free data has no density")
+    total = -0.5 * (length * (p + m) * _LOG_2PI + np.einsum("itj,itj->i", u, u))
+    x = np.zeros((n_traj, n))
+    cov = var * np.eye(n)
+    for t in range(length):
+        u_t = u[:, t]
         try:
-            chol = cho_factor(cov + _JITTER * np.eye(dim), lower=True)
+            chol = np.linalg.cholesky(c @ cov @ c.T + var * np.eye(m))
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "trajectory covariance is not positive definite"
-            ) from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-    quad = float(v @ cho_solve(chol, v))
-    return -0.5 * (dim * _LOG_2PI + logdet + quad)
+            raise NumericalError("innovation covariance is not positive definite") from exc
+        innov = y[:, t] - x @ c.T - u_t @ d.T
+        white = solve_triangular(chol, innov.T, lower=True)
+        total -= np.log(np.diag(chol)).sum() + 0.5 * np.einsum("ji,ji->i", white, white)
+        # With G = L^-1 C P: filtered mean x + K e = x + white^T G, P - K C P = P - G^T G.
+        gain = solve_triangular(chol, c @ cov, lower=True)
+        x = (x + white.T @ gain) @ a.T + u_t @ b.T
+        cov = a @ (cov - gain.T @ gain) @ a.T + var * np.eye(n)
+        cov = 0.5 * (cov + cov.T)
+    return total
 
 
-def kalman_log_likelihood(params: LdsParams, traj: Trajectory) -> float:
-    """Same density via the filter's prediction-error decomposition.
+def component_log_likelihood(params: LdsParams, traj: Trajectory,
+                             noise_scale: float = 1.0) -> float:
+    """:func:`log_likelihoods` of one trajectory."""
+    return float(log_likelihoods(params, traj.u[None], traj.y[None], noise_scale)[0])
+
+
+def kalman_log_likelihood(params: LdsParams, traj: Trajectory,
+                          noise_scale: float = 1.0) -> float:
+    """Same density, filtering one trajectory at a time (the reference).
 
     log p(u, y) = sum_t log N(u[t]; 0, I) + log p(y | u), the second term
     accumulated from the innovations of a standard Kalman recursion with
-    known inputs.  Independent of :func:`component_log_likelihood`.
+    known inputs.
     """
     m, n, _ = params.dims
     a, b, c, d = params.a, params.b, params.c, params.d
+    var = noise_scale**2
     x = np.zeros(n)
-    cov = np.eye(n)
+    cov = var * np.eye(n)
     total = 0.0
     for t in range(len(traj)):
         u_t, y_t = traj.u[t], traj.y[t]
         total += -0.5 * (len(u_t) * _LOG_2PI + float(u_t @ u_t))
-        s_mat = c @ cov @ c.T + np.eye(m)
+        s_mat = c @ cov @ c.T + var * np.eye(m)
         innov = y_t - c @ x - d @ u_t
         chol = cho_factor(s_mat, lower=True)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
@@ -108,12 +97,12 @@ def kalman_log_likelihood(params: LdsParams, traj: Trajectory) -> float:
         x = x + gain @ innov
         cov = cov - gain @ c @ cov
         x = a @ x + b @ u_t
-        cov = a @ cov @ a.T + np.eye(n)
+        cov = a @ cov @ a.T + var * np.eye(n)
         cov = 0.5 * (cov + cov.T)
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields are arrays
 class PosteriorReport:
     """Per-trajectory component posterior and its log-likelihood inputs."""
 
@@ -125,30 +114,29 @@ class PosteriorReport:
         return int(np.argmax(self.probabilities))
 
 
-def _weights_components(model):
-    # MixtureSpec and LearnedMixture both expose weights/components.
-    return np.asarray(model.weights, dtype=float), tuple(model.components)
+def cluster_dataset(model, dataset: Dataset) -> list:
+    """Posterior p_i proportional to w_i * exp(loglik_i) for every trajectory,
+    in dataset order, stabilized in log space.
+
+    ``model`` is a MixtureSpec (scored at its ``noise_scale``) or a
+    LearnedMixture (unit noise).  A plain list raises DataError.
+    """
+    weights, components, noise_scale = mixture_parts(model)
+    u, y = require_dataset(dataset).u, dataset.y
+    m, _, p = components[0].dims
+    if (u.shape[2], y.shape[2]) != (p, m):
+        raise DataError(
+            f"dataset has (p, m) = {(u.shape[2], y.shape[2])}, the model {(p, m)}"
+        )
+    logliks = np.stack([log_likelihoods(c, u, y, noise_scale) for c in components], axis=1)
+    logpost = np.log(weights) + logliks
+    logpost -= logpost.max(axis=1, keepdims=True)
+    probs = np.exp(logpost)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return [PosteriorReport(probabilities=pr, log_likelihoods=ll)
+            for pr, ll in zip(probs, logliks)]
 
 
 def cluster_posterior(model, traj: Trajectory) -> PosteriorReport:
-    """Posterior p_i proportional to w_i * exp(loglik_i), stabilized in log space."""
-    weights, components = _weights_components(model)
-    logliks = np.array([component_log_likelihood(c, traj) for c in components])
-    logpost = np.log(weights) + logliks
-    logpost -= logpost.max()
-    probs = np.exp(logpost)
-    probs /= probs.sum()
-    return PosteriorReport(probabilities=probs, log_likelihoods=logliks)
-
-
-def cluster_dataset(model, dataset) -> list:
-    """Posterior for every trajectory; order follows the dataset.
-
-    Parallelizes over trajectories up to the LDSLAB_THREADS cap; results
-    are identical at any thread count because each evaluation is pure.
-    """
-    workers = worker_threads()
-    if workers <= 1 or len(dataset) < 2:
-        return [cluster_posterior(model, t) for t in dataset]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: cluster_posterior(model, t), dataset))
+    """:func:`cluster_dataset` of one trajectory."""
+    return cluster_dataset(model, Dataset(u=traj.u[None], y=traj.y[None]))[0]

@@ -7,9 +7,12 @@ in-memory objects bit for bit.
 
 Model/mixture file (UTF-8 JSON)::
 
-    {"m": 2, "n": 2, "p": 2, "k": 2,
+    {"m": 2, "n": 2, "p": 2, "k": 2, "noise_scale": 1,
      "weights": [0.5, 0.5],
      "components": [{"a": [[...]], "b": [[...]], "c": [[...]], "d": [[...]]}, ...]}
+
+``noise_scale`` is the standard deviation of x0, w[t] and z[t]; a file
+without it has unit noise.
 
 Dataset file (JSON Lines), one trajectory per line, 0-based time::
 
@@ -31,6 +34,7 @@ import numpy as np
 from .errors import DataError
 from .lds import Dataset, LdsParams, MixtureSpec, require_dataset
 from .lds import Trajectory  # noqa: F401  (kept as io.Trajectory: perfbench wraps it)
+from .learn import mixture_parts
 
 __all__ = [
     "dumps_json",
@@ -104,24 +108,20 @@ def atomic_write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def mixture_to_dict(model) -> dict:
-    """Mixture (or anything with weights/components) as a plain dict."""
-    components = [
-        {"a": c.a, "b": c.b, "c": c.c, "d": c.d} for c in model.components
-    ]
-    m, n, p = model.components[0].dims
-    return {
+def save_mixture(path: str, model) -> None:
+    """Write a MixtureSpec or LearnedMixture in the model file format."""
+    weights, comps, noise_scale = mixture_parts(model)
+    m, n, p = comps[0].dims
+    raw = {
         "m": m,
         "n": n,
         "p": p,
-        "k": len(model.components),
-        "weights": list(np.asarray(model.weights, dtype=float)),
-        "components": components,
+        "k": len(comps),
+        "noise_scale": noise_scale,
+        "weights": list(weights),
+        "components": [{"a": c.a, "b": c.b, "c": c.c, "d": c.d} for c in comps],
     }
-
-
-def save_mixture(path: str, model) -> None:
-    atomic_write_text(path, dumps_json(mixture_to_dict(model), indent=2) + "\n")
+    atomic_write_text(path, dumps_json(raw, indent=2) + "\n")
 
 
 def load_mixture(path: str) -> MixtureSpec:
@@ -133,9 +133,10 @@ def load_mixture(path: str) -> MixtureSpec:
             for c in raw["components"]
         )
         weights = np.asarray(raw["weights"], dtype=float)
-    except (KeyError, TypeError) as exc:
+        noise_scale = float(raw.get("noise_scale", 1.0))
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed mixture file {path}: {exc}") from exc
-    mix = MixtureSpec(components=components, weights=weights)
+    mix = MixtureSpec(components=components, weights=weights, noise_scale=noise_scale)
     declared = (raw.get("m"), raw.get("n"), raw.get("p"))
     if None not in declared and tuple(declared) != mix.dims:
         raise DataError(

@@ -58,13 +58,12 @@ def _freeze(arr, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields are arrays
 class LdsParams:
     """Parameter matrices (a, b, c, d) of one linear dynamical system.
 
     Shapes: a is n-by-n, b is n-by-p, c is m-by-n, d is m-by-p.  Instances
-    are immutable (arrays are write-protected) and safe to share across
-    threads.
+    are immutable (arrays are write-protected).
     """
 
     a: np.ndarray
@@ -110,16 +109,18 @@ class LdsParams:
         return (self.m, self.n, self.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields are arrays
 class MixtureSpec:
     """A k-component mixture: component systems plus mixing weights.
 
     Weights must be strictly positive and sum to 1 (tolerance 1e-12);
-    all components must share the same (m, n, p).
+    all components must share the same (m, n, p).  ``noise_scale`` is as
+    in :class:`NoiseConfig`.
     """
 
     components: tuple
     weights: np.ndarray
+    noise_scale: float = 1.0
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -138,8 +139,12 @@ class MixtureSpec:
             raise DataError("mixing weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise DataError(f"mixing weights sum to {w.sum()!r}, expected 1")
+        scale = float(self.noise_scale)
+        if not 0 <= scale < np.inf:
+            raise DataError(f"noise_scale must be finite and nonnegative, got {self.noise_scale!r}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "noise_scale", scale)
 
     @property
     def k(self) -> int:
@@ -150,7 +155,7 @@ class MixtureSpec:
         return self.components[0].dims
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields are arrays
 class Trajectory:
     """One observed trajectory: paired inputs u (l, p) and outputs y (l, m).
 

@@ -40,6 +40,7 @@ __all__ = [
     "learn_mixture",
     "learn_mixture_from_moments",
     "align_similarity",
+    "mixture_parts",
 ]
 
 # Floor applied to negative regression weights; activating it is recorded
@@ -287,9 +288,13 @@ class AlignmentReport:
         return max(self.max_param_error, self.max_weight_error)
 
 
-def _weights_and_components(model):
-    if isinstance(model, (MixtureSpec, LearnedMixture)):
-        return np.asarray(model.weights, dtype=float), tuple(model.components)
+def mixture_parts(model):
+    """(weights, components, noise_scale) of a MixtureSpec or LearnedMixture
+    (a learned mixture has unit noise); any other type raises DataError."""
+    if isinstance(model, MixtureSpec):
+        return np.asarray(model.weights, dtype=float), model.components, model.noise_scale
+    if isinstance(model, LearnedMixture):
+        return np.asarray(model.weights, dtype=float), tuple(model.components), 1.0
     raise DataError(f"expected MixtureSpec or LearnedMixture, got {type(model)!r}")
 
 
@@ -302,8 +307,8 @@ def align_similarity(truth: MixtureSpec, learned, s: int) -> AlignmentReport:
     the two order-s observability matrices, which is exact whenever the
     estimate is an exact realization of the reference input-output map.
     """
-    w_true, comp_true = _weights_and_components(truth)
-    w_est, comp_est = _weights_and_components(learned)
+    w_true, comp_true, _ = mixture_parts(truth)
+    w_est, comp_est, _ = mixture_parts(learned)
     if len(comp_true) != len(comp_est):
         raise DataError(
             f"component counts differ: {len(comp_true)} vs {len(comp_est)}"

@@ -17,13 +17,12 @@ whose fast path (:func:`substream_states`) reproduces the PCG64 state of
 from __future__ import annotations
 
 import operator
-import os
 
 import numpy as np
 
 from .errors import DataError
 
-__all__ = ["substream", "substream_states", "substream_draws", "worker_threads"]
+__all__ = ["substream", "substream_states", "substream_draws"]
 
 # SeedSequence constants of numpy/random/bit_generator.pyx (INIT_A, MULT_A,
 # INIT_B, MULT_B, MIX_MULT_L, MIX_MULT_R) and PCG_DEFAULT_MULTIPLIER_128 of
@@ -101,16 +100,3 @@ def substream_draws(seed: int, n_traj: int, width: int):
             gen.standard_normal(out=normals[i])
     return uniforms, normals
 
-
-def worker_threads() -> int:
-    """Worker-thread cap from the LDSLAB_THREADS environment variable.
-
-    Defaults to 1 (serial).  Results are independent of this setting by
-    construction; it only bounds concurrency.
-    """
-    raw = os.environ.get("LDSLAB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)

@@ -3,9 +3,11 @@
 No library or CLI path calls these, so they live with the tests: a
 one-trajectory simulator, the unrolled closed form of the LDS recurrence,
 the power-norm bound, the Markov-matrix flattening, direct per-block
-moment estimators and the C = I change of basis.
+moment estimators, the C = I change of basis and the dense
+joint-covariance likelihood.
 """
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 import ldslab as L
 from ldslab.errors import DataError, NumericalError
@@ -96,3 +98,52 @@ def normalize_fully_observed(params):
     t_inv = np.linalg.inv(params.c)
     return L.LdsParams(a=params.c @ params.a @ t_inv, b=params.c @ params.b,
                        c=np.eye(params.n), d=params.d)
+
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+_JITTER = 1e-10
+
+
+def joint_covariance(params, length, noise_scale=1.0):
+    """Covariance of (u[0..l-1], y[0..l-1]), built as F F^T where F maps the
+    independent sources (x0, u[0..l-1], w[0..l-2], z[0..l-1]) to the stacked
+    trajectory; x0, w and z have standard deviation noise_scale."""
+    m, n, p = params.dims
+    l = length
+    n_w = max(l - 1, 0)
+    cols = n + l * p + n_w * n + l * m
+    f = np.zeros((l * (p + m), cols))
+    u_off, w_off, z_off = n, n + l * p, n + l * p + n_w * n
+    for t in range(l):
+        f[t * p : (t + 1) * p, u_off + t * p : u_off + (t + 1) * p] = np.eye(p)
+    ca = [params.c.copy()]  # C A^i
+    for _ in range(l - 1):
+        ca.append(ca[-1] @ params.a)
+    y0 = l * p
+    for t in range(l):
+        rows = slice(y0 + t * m, y0 + (t + 1) * m)
+        f[rows, :n] = noise_scale * ca[t]  # x0 enters as C A^t
+        f[rows, u_off + t * p : u_off + (t + 1) * p] = params.d
+        for tau in range(t):
+            f[rows, u_off + tau * p : u_off + (tau + 1) * p] = ca[t - 1 - tau] @ params.b
+            f[rows, w_off + tau * n : w_off + (tau + 1) * n] = noise_scale * ca[t - 1 - tau]
+        f[rows, z_off + t * m : z_off + (t + 1) * m] = noise_scale * np.eye(m)
+    return f @ f.T
+
+
+def dense_log_likelihood(params, traj, noise_scale=1.0):
+    """Gaussian log-density of the stacked trajectory from one Cholesky factor
+    of :func:`joint_covariance`, retried once with 1e-10 I added."""
+    cov = joint_covariance(params, len(traj), noise_scale)
+    v = np.concatenate([traj.u.ravel(), traj.y.ravel()])
+    dim = v.shape[0]
+    try:
+        chol = cho_factor(cov, lower=True)
+    except np.linalg.LinAlgError:
+        try:
+            chol = cho_factor(cov + _JITTER * np.eye(dim), lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("trajectory covariance is not positive definite") from exc
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
+    quad = float(v @ cho_solve(chol, v))
+    return -0.5 * (dim * _LOG_2PI + logdet + quad)

@@ -1,6 +1,6 @@
 import csv
+import dataclasses
 import json
-import os
 import subprocess
 import sys
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ldslab as L
+import oracles
 from ldslab.cli import main
 from ldslab.io import (
     dumps_json,
@@ -31,14 +32,19 @@ def read_csv(path):
 
 def test_mixture_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    mix = L.random_mixture(2, (2, 3, 2), rng)
+    mix = dataclasses.replace(L.random_mixture(2, (2, 3, 2), rng), noise_scale=0.3)
     path = tmp_path / "mix.json"
     save_mixture(path, mix)
     back = load_mixture(path)
-    assert np.array_equal(back.weights, mix.weights)
+    assert np.array_equal(back.weights, mix.weights) and back.noise_scale == 0.3
     for a, b in zip(back.components, mix.components):
         for name in ("a", "b", "c", "d"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+    # a file without the field (written before it existed) has unit noise
+    raw = json.loads(path.read_text())
+    del raw["noise_scale"]
+    path.write_text(json.dumps(raw))
+    assert load_mixture(path).noise_scale == 1.0
 
 
 def test_dataset_round_trip(tmp_path):
@@ -391,7 +397,7 @@ def test_error_line_is_machine_parseable(tmp_path):
     assert last.startswith("LDSLAB_ERROR code=3 kind=data message=")
 
 
-def test_learn_reproducible_across_thread_settings(tmp_path):
+def test_learn_reproducible_across_runs(tmp_path):
     mix = L.MixtureSpec(
         components=(scalar_params(0.9, d=1.0), scalar_params(-0.9, d=-1.0)),
         weights=[0.5, 0.5],
@@ -402,14 +408,53 @@ def test_learn_reproducible_across_thread_settings(tmp_path):
     main(["generate", "--model", str(truth), "--n-traj", "2000", "--length", "18",
           "--seed", "3", "--out", str(ds_path), "--truth-out", str(tmp_path / "t.json")])
     outputs = []
-    for threads in ("1", "4"):
-        model = tmp_path / f"model_{threads}.json"
-        env = dict(os.environ, LDSLAB_THREADS=threads)
+    for run in range(3):
+        model = tmp_path / f"model_{run}.json"
         result = subprocess.run(
             [sys.executable, "-m", "ldslab.cli", "learn", "--data", str(ds_path),
              "--k", "2", "--n", "1", "--s", "2", "--seed", "9", "--out", str(model)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
         outputs.append(model.read_bytes())
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_cluster_scores_at_the_truth_echo_noise_scale(tmp_path, capsys):
+    """Data generated at --noise-scale 0.5 and clustered with the truth echo
+    gets the posteriors of the 0.5-scaled density, not of unit noise."""
+    mix = L.MixtureSpec(
+        components=(scalar_params(0.5, d=0.5), scalar_params(0.2, d=0.8)),
+        weights=[0.4, 0.6],
+    )
+    truth = tmp_path / "truth.json"
+    save_mixture(truth, mix)
+    ds_path, echo = tmp_path / "ds.jsonl", tmp_path / "echo.json"
+    assert main(["generate", "--model", str(truth), "--n-traj", "30", "--length", "6",
+                 "--seed", "11", "--noise-scale", "0.5", "--out", str(ds_path),
+                 "--truth-out", str(echo)]) == 0
+    assert load_mixture(echo).noise_scale == 0.5
+    assert load_mixture(truth).noise_scale == 1.0
+    assert main(["cluster", "--model", str(echo), "--data", str(ds_path),
+                 "--out", str(tmp_path / "post")]) == 0
+    rows = json.loads((tmp_path / "post.json").read_text())
+    for row, traj in zip(rows, load_dataset(ds_path)):
+        logliks = np.array([oracles.dense_log_likelihood(c, traj, 0.5) for c in mix.components])
+        logpost = np.log(mix.weights) + logliks
+        expected = np.exp(logpost - logpost.max())
+        expected /= expected.sum()
+        assert [row["p_0"], row["p_1"]] == pytest.approx(expected, abs=1e-9)
+
+    # Generating from the echo without --noise-scale samples at its 0.5 again.
+    again = tmp_path / "again.jsonl"
+    assert main(["generate", "--model", str(echo), "--n-traj", "30", "--length", "6",
+                 "--seed", "11", "--out", str(again), "--truth-out", str(echo)]) == 0
+    assert again.read_bytes() == ds_path.read_bytes()
+
+    # Noise-free data has no density: cluster fails as a numerical error.
+    assert main(["generate", "--model", str(truth), "--n-traj", "3", "--length", "6",
+                 "--noise-scale", "0", "--out", str(ds_path), "--truth-out", str(echo)]) == 0
+    capsys.readouterr()
+    assert main(["cluster", "--model", str(echo), "--data", str(ds_path),
+                 "--out", str(tmp_path / "post")]) == 4
+    assert "noise_scale" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ldslab as L
 import oracles
@@ -22,9 +24,7 @@ def test_single_step_block_covariance():
     # l=1 joint covariance is [[I, D^T], [D, CC^T + DD^T + I]]
     rng = np.random.default_rng(0)
     params = L.random_lds((2, 3, 2), rng)
-    from ldslab.cluster import _joint_covariance
-
-    cov = _joint_covariance(params, 1)
+    cov = oracles.joint_covariance(params, 1)
     expect = np.block(
         [
             [np.eye(2), params.d.T],
@@ -44,35 +44,45 @@ def test_identical_components_identical_likelihoods():
     assert post.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_two_likelihood_paths_agree():
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        dims = tuple(int(rng.integers(1, 4)) for _ in range(3))
-        params = L.random_lds(dims, rng)
-        length = int(rng.integers(1, 15))
-        traj = oracles.simulate_trajectory(params, length, L.NoiseConfig(seed=seed), L.substream(seed, 1))
-        direct = L.component_log_likelihood(params, traj)
-        filtered = L.kalman_log_likelihood(params, traj)
-        assert direct == pytest.approx(filtered, abs=1e-8)
+@given(
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    length=st.integers(1, 15),
+    n_traj=st.integers(1, 5),
+    noise_scale=st.sampled_from([1.0, 0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_likelihood_paths_agree(dims, length, n_traj, noise_scale, seed):
+    """The batched filter, the per-trajectory filter and the dense joint
+    covariance give one density for every trajectory of a batch."""
+    rng = np.random.default_rng(seed)
+    params = L.random_lds(dims, rng)
+    mix = L.MixtureSpec(components=(params,), weights=[1.0])
+    ds = L.sample_mixture_dataset(
+        mix, n_traj, length, L.NoiseConfig(seed=seed, noise_scale=noise_scale))
+    batched = L.log_likelihoods(params, ds.u, ds.y, noise_scale)
+    assert batched.shape == (n_traj,)
+    for value, traj in zip(batched, ds):
+        assert value == pytest.approx(
+            L.kalman_log_likelihood(params, traj, noise_scale), abs=1e-8)
+        assert value == pytest.approx(
+            oracles.dense_log_likelihood(params, traj, noise_scale), abs=1e-8)
 
 
 def test_joint_covariance_matches_simulator_monte_carlo():
-    """The covariance the likelihood integrates over must be the
-    covariance the simulator actually produces."""
+    """The covariance the dense oracle integrates over must be the
+    covariance the simulator actually produces, at unit and at half noise."""
     rng = np.random.default_rng(99)
     params = L.random_lds((2, 2, 2), rng)
     mix = L.MixtureSpec(components=(params,), weights=[1.0])
     length = 4
-    ds = L.sample_mixture_dataset(mix, 200_000, length, L.NoiseConfig(seed=100))
-    stacked = np.stack(
-        [np.concatenate([t.u.ravel(), t.y.ravel()]) for t in ds]
-    )
-    empirical = (stacked.T @ stacked) / len(ds)
-    from ldslab.cluster import _joint_covariance
-
-    model_cov = _joint_covariance(params, length)
-    scale = max(1.0, np.abs(model_cov).max())
-    assert np.max(np.abs(empirical - model_cov)) / scale <= 0.05
+    for noise_scale in (1.0, 0.5):
+        ds = L.sample_mixture_dataset(
+            mix, 200_000, length, L.NoiseConfig(seed=100, noise_scale=noise_scale))
+        stacked = np.concatenate([ds.u.reshape(len(ds), -1), ds.y.reshape(len(ds), -1)], axis=1)
+        empirical = (stacked.T @ stacked) / len(ds)
+        model_cov = oracles.joint_covariance(params, length, noise_scale)
+        scale = max(1.0, np.abs(model_cov).max())
+        assert np.max(np.abs(empirical - model_cov)) / scale <= 0.05
 
 
 def test_posterior_invariant_to_common_log_offset():
@@ -103,18 +113,35 @@ def test_scalar_separation_accuracy():
     assert strong >= 950
 
 
-def test_cluster_dataset_threaded_matches_serial(monkeypatch):
+def test_cluster_dataset_matches_cluster_posterior():
     mix = L.MixtureSpec(
         components=(scalar_params(0.9, d=1.0), scalar_params(-0.9, d=-1.0)),
         weights=[0.5, 0.5],
+        noise_scale=0.7,
     )
-    ds = L.sample_mixture_dataset(mix, 40, 12, L.NoiseConfig(seed=5))
-    monkeypatch.delenv("LDSLAB_THREADS", raising=False)
-    serial = L.cluster_dataset(mix, ds)
-    monkeypatch.setenv("LDSLAB_THREADS", "4")
-    threaded = L.cluster_dataset(mix, ds)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.probabilities, b.probabilities)
+    ds = L.sample_mixture_dataset(mix, 40, 12, L.NoiseConfig(seed=5, noise_scale=0.7))
+    posts = L.cluster_dataset(mix, ds)
+    assert len(posts) == len(ds)
+    for post, traj in zip(posts, ds):
+        single = L.cluster_posterior(mix, traj)
+        assert np.allclose(post.log_likelihoods, single.log_likelihoods, rtol=0, atol=1e-12)
+        assert np.allclose(post.probabilities, single.probabilities, rtol=0, atol=1e-12)
+        assert post.argmax == single.argmax
+
+
+def test_cluster_dataset_rejects_bad_inputs():
+    mix = L.MixtureSpec(components=(scalar_params(0.5),), weights=[1.0])
+    ds = L.sample_mixture_dataset(mix, 3, 4, L.NoiseConfig(seed=6))
+    with pytest.raises(L.DataError, match="Dataset.from_trajectories"):
+        L.cluster_dataset(mix, list(ds))
+    wide = L.Dataset(u=np.zeros((3, 4, 2)), y=np.zeros((3, 4, 1)))
+    with pytest.raises(L.DataError, match=r"\(p, m\)"):
+        L.cluster_dataset(mix, wide)
+    with pytest.raises(L.DataError, match="MixtureSpec or LearnedMixture"):
+        L.cluster_dataset(mix.components, ds)
+    silent = L.MixtureSpec(components=mix.components, weights=[1.0], noise_scale=0.0)
+    with pytest.raises(L.NumericalError, match="noise_scale"):
+        L.cluster_dataset(silent, ds)
 
 
 def test_posterior_accepts_learned_mixture_shape():

@@ -36,7 +36,10 @@ def test_mixture_weight_checks():
     with pytest.raises(DataError):
         L.MixtureSpec(components=(comp, comp), weights=[1.2, -0.2])
     mix = L.MixtureSpec(components=(comp, comp), weights=[0.25, 0.75])
-    assert mix.k == 2 and mix.dims == (1, 1, 1)
+    assert mix.k == 2 and mix.dims == (1, 1, 1) and mix.noise_scale == 1.0
+    for bad in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(DataError, match="noise_scale"):
+            L.MixtureSpec(components=(comp, comp), weights=[0.25, 0.75], noise_scale=bad)
 
 
 def test_trajectory_checks():
@@ -65,6 +68,17 @@ def test_dataset_views_share_the_arrays():
     assert np.array_equal(back.u, ds.u) and np.array_equal(back.labels, ds.labels)
     assert L.Dataset(u=ds.u, y=ds.y)[0].label is None
     assert ds == ds and ds != ds[:] and len({ds, ds}) == 1  # identity equality
+
+
+def test_array_dataclasses_compare_by_identity():
+    """Equal but distinct objects with array fields compare unequal and hash,
+    rather than raising on the ambiguous truth value of an array."""
+    params = L.LdsParams(a=[[0.5]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
+    twin = L.LdsParams(a=[[0.5]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
+    mixes = [L.MixtureSpec(components=(params, twin), weights=[0.5, 0.5]) for _ in range(2)]
+    trajs = [L.Trajectory(u=[[1.0], [2.0]], y=[[0.0], [1.0]], label=0) for _ in range(2)]
+    for a, b in ([params, twin], mixes, trajs):
+        assert a == a and a != b and len({a, b, a}) == 2
 
 
 def test_dataset_checks():

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ldslab as L
@@ -124,27 +124,28 @@ def test_exact_sixth_moment_matrix_structure():
     extra=st.integers(0, 2),
     seed=st.integers(0, 2**32 - 1),
 )
+# a block whose mean nearly cancels (|mean| 3e-6): its rounding exceeds 1e-12 |mean|
+@example(m=1, p=1, s=2, n_traj=11, chunk=1, extra=2, seed=779)
 def test_moment_grid_matches_per_block_estimates(m, p, s, n_traj, chunk, extra, seed):
     """The chunked grid kernel and its standard errors agree with the
     direct per-block einsum, across chunk boundaries and a partial last
     chunk."""
     rng = np.random.default_rng(seed)
     length = 6 * s + 3 + extra
-    ds = L.Dataset.from_trajectories(
-        L.Trajectory(u=rng.standard_normal((length, p)), y=rng.standard_normal((length, m)))
-        for _ in range(n_traj)
-    )
+    ds = L.Dataset(u=rng.standard_normal((n_traj, length, p)),
+                   y=rng.standard_normal((n_traj, length, m)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moments, "_CHUNK", chunk)
         grid = MomentTensor6.estimate(ds, s, with_se=True)
     squared = L.Dataset(u=ds.u**2, y=ds.y**2)
+    absolute = L.Dataset(u=np.abs(ds.u), y=np.abs(ds.y))
     g = 2 * s + 1
     for k1, k2, k3 in itertools.product(range(g), repeat=3):
         mean = oracles.estimate_sixth_moment_block(ds, k1, k2, k3)
         mean_sq = oracles.estimate_sixth_moment_block(squared, k1, k2, k3)
-        np.testing.assert_allclose(
-            grid.block(k1, k2, k3), mean, rtol=0, atol=1e-12 * np.abs(mean).max()
-        )
+        # the rounding of a sum scales with its summands, not with the sum
+        summands = oracles.estimate_sixth_moment_block(absolute, k1, k2, k3)
+        assert np.all(np.abs(grid.block(k1, k2, k3) - mean) <= 1e-12 * summands)
         # compared as variances: the square root would amplify the rounding
         # of mean_sq - mean**2 wherever the two nearly cancel
         var = np.maximum(mean_sq - mean**2, 0.0) / n_traj
