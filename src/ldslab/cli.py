@@ -52,8 +52,14 @@ def _fail(kind: str, code: int, message: str) -> int:
     return code
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Values from --config override the individual flags."""
+def _apply_config_file(args: argparse.Namespace, actions: dict) -> None:
+    """Values from --config override the individual flags.
+
+    Each value goes through its flag's ``type``, as the text it would have
+    on the command line (a JSON list as comma-separated items); a
+    ``store_true`` flag takes a JSON bool.  ``actions`` maps each option's
+    dest to its argparse action.
+    """
     if not getattr(args, "config", None):
         return
     try:
@@ -67,8 +73,20 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         attr = key.replace("-", "_")
         if attr == "mode":
             continue  # the subcommand fixes the mode
-        if not hasattr(args, attr):
+        action = actions.get(attr) if hasattr(args, attr) else None
+        if action is None:
             raise UsageError(f"config {args.config}: unknown key {key!r}")
+        if action.nargs == 0:  # store_true
+            if not isinstance(value, bool):
+                raise UsageError(f"config {args.config}: {key!r} needs true or false, got {value!r}")
+        elif value is None or isinstance(value, (bool, dict)):
+            raise UsageError(f"config {args.config}: {key!r} needs a string, number or list")
+        else:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            try:
+                value = text if action.type is None else action.type(text)
+            except ValueError as exc:
+                raise UsageError(f"config {args.config}: bad value {value!r} for {key!r}") from exc
         setattr(args, attr, value)
 
 
@@ -126,8 +144,7 @@ def cmd_generate(args) -> int:
     times = {}
     t0 = time.perf_counter()
     mix = _with_noise_scale(args, _load_truth_or_random(args))
-    noise = NoiseConfig(seed=args.seed, noise_scale=mix.noise_scale)
-    dataset = sample_mixture_dataset(mix, args.n_traj, args.length, noise)
+    dataset = sample_mixture_dataset(mix, args.n_traj, args.length, NoiseConfig(seed=args.seed))
     times["generate"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     save_dataset(args.out, dataset)
@@ -160,7 +177,7 @@ def cmd_learn(args) -> int:
     _positive(args, "k", "n", "s")
     learned, times = _learn_from_file(args)
     t0 = time.perf_counter()
-    save_mixture(args.out, learned.to_mixture_spec())
+    save_mixture(args.out, learned)
     times["write"] = time.perf_counter() - t0
     manifest_path = args.manifest or (args.out + ".manifest.json")
     manifest = _manifest(args, times, learned.diagnostics, {"model": args.out})
@@ -295,8 +312,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for n_traj in grid:
         t0 = time.perf_counter()
-        noise = NoiseConfig(seed=args.seed, noise_scale=truth.noise_scale)
-        dataset = sample_mixture_dataset(truth, n_traj, args.length, noise)
+        dataset = sample_mixture_dataset(truth, n_traj, args.length, NoiseConfig(seed=args.seed))
         rng = np.random.default_rng(args.seed)
         learned = learn_mixture(dataset, args.k, args.n, args.s, rng, tol=args.tol)
         report = align_similarity(truth, learned, args.s)
@@ -320,7 +336,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser, and the parser of each mode by name."""
     parser = argparse.ArgumentParser(
         prog="ldslab",
         description="Simulate and learn mixtures of linear dynamical systems.",
@@ -400,14 +417,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sample counts")
     p.add_argument("--out", help="report base path (.csv/.json appended)")
     p.set_defaults(func=cmd_sweep)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, modes = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, {a.dest: a for a in modes[args.mode]._actions})
         return args.func(args)
     except UsageError as exc:
         return _fail("usage", 2, exc)

@@ -16,8 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import DataError, NumericalError
-from .lds import Dataset, LdsParams, Trajectory, require_dataset
-from .learn import mixture_parts
+from .lds import Dataset, LdsParams, MixtureSpec, Trajectory, require_dataset, require_mixture
 
 __all__ = [
     "PosteriorReport",
@@ -114,22 +113,20 @@ class PosteriorReport:
         return int(np.argmax(self.probabilities))
 
 
-def cluster_dataset(model, dataset: Dataset) -> list:
+def cluster_dataset(model: MixtureSpec, dataset: Dataset) -> list:
     """Posterior p_i proportional to w_i * exp(loglik_i) for every trajectory,
-    in dataset order, stabilized in log space.
-
-    ``model`` is a MixtureSpec (scored at its ``noise_scale``) or a
-    LearnedMixture (unit noise).  A plain list raises DataError.
+    in dataset order, stabilized in log space, scored at the model's
+    ``noise_scale``.  A plain list raises DataError.
     """
-    weights, components, noise_scale = mixture_parts(model)
+    components = require_mixture(model).components
     u, y = require_dataset(dataset).u, dataset.y
-    m, _, p = components[0].dims
+    m, _, p = model.dims
     if (u.shape[2], y.shape[2]) != (p, m):
         raise DataError(
             f"dataset has (p, m) = {(u.shape[2], y.shape[2])}, the model {(p, m)}"
         )
-    logliks = np.stack([log_likelihoods(c, u, y, noise_scale) for c in components], axis=1)
-    logpost = np.log(weights) + logliks
+    logliks = np.stack([log_likelihoods(c, u, y, model.noise_scale) for c in components], axis=1)
+    logpost = np.log(model.weights) + logliks
     logpost -= logpost.max(axis=1, keepdims=True)
     probs = np.exp(logpost)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -137,6 +134,6 @@ def cluster_dataset(model, dataset: Dataset) -> list:
             for pr, ll in zip(probs, logliks)]
 
 
-def cluster_posterior(model, traj: Trajectory) -> PosteriorReport:
+def cluster_posterior(model: MixtureSpec, traj: Trajectory) -> PosteriorReport:
     """:func:`cluster_dataset` of one trajectory."""
     return cluster_dataset(model, Dataset(u=traj.u[None], y=traj.y[None]))[0]

@@ -65,7 +65,7 @@ def _signed_svd(mat: np.ndarray):
     return u, sv, vt
 
 
-def ho_kalman(g: np.ndarray, s: int, n: int = None) -> LdsParams:
+def ho_kalman(g: np.ndarray, s: int, n: int) -> LdsParams:
     """Realize (A, B, C, D) of state dimension n from the Markov matrix G.
 
     D is the leading block of G; C and B come from the rank-n square
@@ -73,10 +73,6 @@ def ho_kalman(g: np.ndarray, s: int, n: int = None) -> LdsParams:
     and A = O^+ H^+ Q^+ from the shifted half.  The output reproduces G
     exactly (up to the usual similarity freedom) when G is the exact
     Markov matrix of an observable and controllable rank-n system.
-
-    With ``n=None`` the order is taken as the numerical rank of the
-    un-shifted Hankel half at a relative threshold of 1e-6 (suitable for
-    noisy input); callers that know n should pass it.
     """
     g, m, p = _split_blocks(g, s)
     if s < 1:
@@ -86,9 +82,6 @@ def ho_kalman(g: np.ndarray, s: int, n: int = None) -> LdsParams:
     h_minus = h[:, : p * s]
     h_plus = h[:, p:]
     u, sv, vt = _signed_svd(h_minus)
-    if n is None:
-        n = int(np.sum(sv > 1e-6 * sv[0])) if sv[0] > 0 else 1
-        n = max(n, 1)
     if n < 1 or n > min(m * s, p * s):
         raise DataError(f"state dimension n={n} out of range for ms={m*s}, ps={p*s}")
     numerical_rank = int(np.sum(sv > HANKEL_RANK_RTOL * sv[0])) if sv[0] > 0 else 0

@@ -32,9 +32,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import DataError
-from .lds import Dataset, LdsParams, MixtureSpec, require_dataset
+from .lds import Dataset, LdsParams, MixtureSpec, require_dataset, require_mixture
 from .lds import Trajectory  # noqa: F401  (kept as io.Trajectory: perfbench wraps it)
-from .learn import mixture_parts
 
 __all__ = [
     "dumps_json",
@@ -45,6 +44,15 @@ __all__ = [
     "load_dataset",
     "save_report",
 ]
+
+
+def _parse_int(text: str):
+    # %.17g writes the double -0.0 as "-0", which JSON reads as the int 0
+    return -0.0 if text == "-0" else int(text)
+
+
+# Reads every file written here back bit for bit, the sign of zero included.
+_DECODER = json.JSONDecoder(parse_int=_parse_int)
 
 
 def _format_float(x: float) -> str:
@@ -108,26 +116,26 @@ def atomic_write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def save_mixture(path: str, model) -> None:
-    """Write a MixtureSpec or LearnedMixture in the model file format."""
-    weights, comps, noise_scale = mixture_parts(model)
-    m, n, p = comps[0].dims
+def save_mixture(path: str, model: MixtureSpec) -> None:
+    """Write a mixture (learned or not) in the model file format."""
+    m, n, p = require_mixture(model).dims
     raw = {
         "m": m,
         "n": n,
         "p": p,
-        "k": len(comps),
-        "noise_scale": noise_scale,
-        "weights": list(weights),
-        "components": [{"a": c.a, "b": c.b, "c": c.c, "d": c.d} for c in comps],
+        "k": model.k,
+        "noise_scale": model.noise_scale,
+        "weights": list(model.weights),
+        "components": [{"a": c.a, "b": c.b, "c": c.c, "d": c.d} for c in model.components],
     }
     atomic_write_text(path, dumps_json(raw, indent=2) + "\n")
 
 
 def load_mixture(path: str) -> MixtureSpec:
     with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+        text = handle.read()
     try:
+        raw = _DECODER.decode(text)
         components = tuple(
             LdsParams(a=c["a"], b=c["b"], c=c["c"], d=c["d"])
             for c in raw["components"]
@@ -137,10 +145,11 @@ def load_mixture(path: str) -> MixtureSpec:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed mixture file {path}: {exc}") from exc
     mix = MixtureSpec(components=components, weights=weights, noise_scale=noise_scale)
-    declared = (raw.get("m"), raw.get("n"), raw.get("p"))
-    if None not in declared and tuple(declared) != mix.dims:
+    actual = dict(zip("mnpk", (*mix.dims, mix.k)))
+    declared = {key: raw[key] for key in actual if key in raw}
+    if any(value != actual[key] for key, value in declared.items()):
         raise DataError(
-            f"mixture file {path} declares dims {declared}, matrices have {mix.dims}"
+            f"mixture file {path} declares {declared}, its matrices and weights give {actual}"
         )
     return mix
 
@@ -182,7 +191,7 @@ def load_dataset(path: str) -> Dataset:
         lines = ((lineno, line) for lineno, line in enumerate(handle, start=1) if line.strip())
         for row, (lineno, line) in enumerate(lines):
             try:
-                raw = json.loads(line)
+                raw = _DECODER.decode(line)
                 u_row, y_row = np.asarray(raw["u"], dtype=float), np.asarray(raw["y"], dtype=float)
                 label = None if raw.get("label") is None else int(raw["label"])
             except (KeyError, TypeError, ValueError) as exc:

@@ -7,9 +7,10 @@ observation dimension ``m`` evolves as::
     y[t]   = C x[t] + D u[t] + z[t]
 
 with exogenous inputs ``u[t] ~ N(0, I_p)`` and isotropic Gaussian noise
-``x[0] ~ N(0, I_n)``, ``w[t] ~ N(0, I_n)``, ``z[t] ~ N(0, I_m)``.  A
-mixture draws a component index by its mixing weights and then emits one
-whole trajectory from that component.
+``x[0] ~ N(0, σ² I_n)``, ``w[t] ~ N(0, σ² I_n)``, ``z[t] ~ N(0, σ² I_m)``,
+where σ is the mixture's ``noise_scale``.  A mixture draws a component
+index by its mixing weights and then emits one whole trajectory from
+that component.
 
 Time is 0-based throughout: a length-``l`` trajectory holds
 ``u[0..l-1]`` and ``y[0..l-1]``.
@@ -114,8 +115,10 @@ class MixtureSpec:
     """A k-component mixture: component systems plus mixing weights.
 
     Weights must be strictly positive and sum to 1 (tolerance 1e-12);
-    all components must share the same (m, n, p).  ``noise_scale`` is as
-    in :class:`NoiseConfig`.
+    all components must share the same (m, n, p).  ``noise_scale`` is the
+    standard deviation of x0, w[t] and z[t] (finite, nonnegative); inputs
+    u[t] always have unit covariance, and 0 makes y a deterministic
+    function of u.
     """
 
     components: tuple
@@ -249,37 +252,33 @@ def require_dataset(obj) -> Dataset:
     return obj
 
 
+def require_mixture(obj) -> MixtureSpec:
+    if not isinstance(obj, MixtureSpec):
+        raise DataError(f"expected a MixtureSpec, got {type(obj).__name__}")
+    return obj
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Seed plus a single scale on the process/observation/initial noise.
-
-    ``noise_scale`` multiplies the standard deviations of x0, w[t] and
-    z[t]; inputs u[t] always have unit covariance.  ``noise_scale=1`` is
-    the standard isotropic model, ``noise_scale=0`` is deterministic
-    given the inputs (used by oracle tests only).
-    """
+    """Seed of the per-trajectory substreams of a sampled dataset.  The
+    noise scale is the mixture's (:attr:`MixtureSpec.noise_scale`)."""
 
     seed: int = 0
-    noise_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.noise_scale < 0:
-            raise DataError("noise_scale must be nonnegative")
 
 
-def draw_lds_noise(dims, length, noise: NoiseConfig, rng: np.random.Generator):
+def draw_lds_noise(dims, length, noise_scale: float, rng: np.random.Generator):
     """Draw (x0, u, w, z) for one trajectory, in that fixed order.
 
     The draw order is part of the reproducibility contract: x0 first,
     then the full input array u (length, p), then w (length, n), then
-    z (length, m), each row-major.
+    z (length, m), each row-major.  x0, w and z are scaled by
+    ``noise_scale``.
     """
     m, n, p = dims
-    s = noise.noise_scale
-    x0 = s * rng.standard_normal(n)
+    x0 = noise_scale * rng.standard_normal(n)
     u = rng.standard_normal((length, p))
-    w = s * rng.standard_normal((length, n))
-    z = s * rng.standard_normal((length, m))
+    w = noise_scale * rng.standard_normal((length, n))
+    z = noise_scale * rng.standard_normal((length, m))
     return x0, u, w, z
 
 
@@ -298,7 +297,8 @@ def _iterate_batch(params: LdsParams, x0, u, w, z):
 def sample_mixture_dataset(
     mix: MixtureSpec, n_traj: int, length: int, noise: NoiseConfig
 ) -> Dataset:
-    """Draw ``n_traj`` labelled trajectories of one length from the mixture.
+    """Draw ``n_traj`` labelled trajectories of one length from the mixture,
+    at the mixture's ``noise_scale``.
 
     Trajectory ``i`` consumes only substream ``i`` of ``noise.seed``: one
     uniform for its label, then one normal block split into x0, u, w, z
@@ -314,8 +314,8 @@ def sample_mixture_dataset(
     uniforms, block = substream_draws(noise.seed, n_traj, w_end + length * m)
     labels = np.searchsorted(np.cumsum(mix.weights), uniforms, side="right")
     labels = np.minimum(labels, mix.k - 1)  # guard against rounding at cumw[-1]
-    block[:, :n] *= noise.noise_scale
-    block[:, u_end:] *= noise.noise_scale
+    block[:, :n] *= mix.noise_scale
+    block[:, u_end:] *= mix.noise_scale
     x0 = block[:, :n]
     u = block[:, n:u_end].reshape(n_traj, length, p)
     w = block[:, u_end:w_end].reshape(n_traj, length, n)

@@ -6,21 +6,22 @@ regress the cross-covariance stack on the Gtilde_i to get
 wtilde_i ~ w_i^(2/3), rescale (Ghat_i = Gtilde_i / sqrt(wtilde_i),
 what_i = wtilde_i^(3/2)), and realize each component by Ho-Kalman.
 
-Learned parameters are only identified up to a similarity transform per
-component plus a permutation of components; :func:`align_similarity`
-resolves both against a reference mixture and reports the residual
-parameter errors.
+The result is a :class:`LearnedMixture`: a :class:`~ldslab.lds.MixtureSpec`
+with unit noise plus the pipeline's diagnostics.  Learned parameters are
+only identified up to a similarity transform per component plus a
+permutation of components; :func:`align_similarity` resolves both against
+a reference mixture and reports the residual parameter errors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, NumericalError
 from .hokalman import ho_kalman
-from .lds import MixtureSpec, markov_matrix, observability_matrix
+from .lds import MixtureSpec, markov_matrix, observability_matrix, require_mixture
 from .moments import (
     CrossCovarianceStack,
     FlatTensor3,
@@ -40,7 +41,6 @@ __all__ = [
     "learn_mixture",
     "learn_mixture_from_moments",
     "align_similarity",
-    "mixture_parts",
 ]
 
 # Floor applied to negative regression weights; activating it is recorded
@@ -79,14 +79,15 @@ def _signed_mode1_vector(comp) -> np.ndarray:
 
 
 def learn_markov_components(
-    flat: FlatTensor3, k: int, rng: np.random.Generator, tol: float = 0.1,
-    return_details: bool = False,
+    flat: FlatTensor3, k: int, rng: np.random.Generator, tol: float = 0.1
 ):
     """Recover Gtilde_i ~ w_i^(1/3) G_i from the flattened moment tensor.
 
     Runs the rank-k decomposition, turns each rank-one term into its
     signed mode-1 vector vhat_i ~ w_i ||v(G_i)||^2 v(G_i), and returns
-    unflatten(vhat_i / ||vhat_i||^(2/3)) for each i.
+    (gtilde, details): unflatten(vhat_i / ||vhat_i||^(2/3)) for each i,
+    and the Frobenius norms ``tensor_residual`` of the decomposition's
+    residual and ``tensor_norm`` of the tensor.
     """
     if k < 1:
         raise DataError("k must be >= 1")
@@ -98,16 +99,14 @@ def learn_markov_components(
         vhat = _signed_mode1_vector(comp)
         scaled = vhat / (np.linalg.norm(vhat) ** (2.0 / 3.0))
         gtilde.append(unflatten_markov(scaled, flat.m, flat.p))
-    if return_details:
-        residual = flat.data.copy()
-        for comp in components:
-            residual -= rank_one_tensor(comp)
-        details = {
-            "tensor_residual": float(np.linalg.norm(residual)),
-            "tensor_norm": float(np.linalg.norm(flat.data)),
-        }
-        return gtilde, details
-    return gtilde
+    residual = flat.data.copy()
+    for comp in components:
+        residual -= rank_one_tensor(comp)
+    details = {
+        "tensor_residual": float(np.linalg.norm(residual)),
+        "tensor_norm": float(np.linalg.norm(flat.data)),
+    }
+    return gtilde, details
 
 
 def recover_weights(gtilde, rhat: CrossCovarianceStack):
@@ -157,40 +156,13 @@ def finalize_components(gtilde, wtilde):
     return weights, ghat, raw
 
 
-@dataclass(frozen=True)
-class LearnedMixture:
-    """Estimates plus the pipeline intermediates that produced them.
+@dataclass(frozen=True, eq=False)  # identity equality: fields are arrays
+class LearnedMixture(MixtureSpec):
+    """A learned mixture (unit noise) and the ``diagnostics`` of the run
+    that produced it: tensor and regression residuals, the clamped
+    weights, the raw regression weights and the raw weight sum."""
 
-    ``weights``/``components`` are the final (what_i, Ahat_i..Dhat_i);
-    ``gtilde``, ``wtilde`` and ``ghat`` are the intermediate scaled
-    Markov matrices and regression weights; ``diagnostics`` records
-    tensor and regression residuals, clamp flags and the raw weight sum.
-    """
-
-    weights: np.ndarray
-    components: tuple
-    gtilde: tuple
-    wtilde: np.ndarray
-    ghat: tuple
-    raw_weights: np.ndarray
-    s: int
-    diagnostics: dict
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.weights) <= 0):
-            raise DataError("learned weights must be positive after clamping")
-        width = (2 * self.s + 1) * self.components[0].p
-        for i, g in enumerate(self.ghat):
-            if np.asarray(g).shape[1] != width:
-                raise DataError(f"ghat[{i}] width {np.asarray(g).shape[1]} != {width}")
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
-    def to_mixture_spec(self) -> MixtureSpec:
-        w = np.asarray(self.weights, dtype=float)
-        return MixtureSpec(components=tuple(self.components), weights=w / w.sum())
+    diagnostics: dict = field(default_factory=dict)
 
 
 def learn_mixture_from_moments(
@@ -212,7 +184,7 @@ def learn_mixture_from_moments(
     flat = FlatTensor3(
         data=symmetrize_tensor3(flat.data), s=flat.s, m=flat.m, p=flat.p
     )
-    gtilde, details = learn_markov_components(flat, k, rng, tol=tol, return_details=True)
+    gtilde, details = learn_markov_components(flat, k, rng, tol=tol)
     wtilde, winfo = recover_weights(gtilde, rhat)
     weights, ghat, raw = finalize_components(gtilde, wtilde)
     components = tuple(ho_kalman(g, s, n) for g in ghat)
@@ -223,16 +195,7 @@ def learn_mixture_from_moments(
         "raw_wtilde": winfo["raw_wtilde"],
         "raw_weight_sum": float(raw.sum()),
     }
-    return LearnedMixture(
-        weights=weights,
-        components=components,
-        gtilde=tuple(gtilde),
-        wtilde=wtilde,
-        ghat=tuple(ghat),
-        raw_weights=raw,
-        s=s,
-        diagnostics=diagnostics,
-    )
+    return LearnedMixture(components=components, weights=weights, diagnostics=diagnostics)
 
 
 def learn_mixture(
@@ -246,7 +209,8 @@ def learn_mixture(
     """Learn a k-component mixture of order-n systems from a Dataset.
 
     Its trajectories must have length >= min_trajectory_length(s) = 6s+3;
-    the estimators use indices up to 6s+2.
+    the estimators use indices up to 6s+2.  The result is a
+    :class:`LearnedMixture`, usable wherever a MixtureSpec is.
     """
     flat = assemble_pi(MomentTensor6.estimate(dataset, s))
     rhat = CrossCovarianceStack.estimate(dataset, s)
@@ -288,17 +252,7 @@ class AlignmentReport:
         return max(self.max_param_error, self.max_weight_error)
 
 
-def mixture_parts(model):
-    """(weights, components, noise_scale) of a MixtureSpec or LearnedMixture
-    (a learned mixture has unit noise); any other type raises DataError."""
-    if isinstance(model, MixtureSpec):
-        return np.asarray(model.weights, dtype=float), model.components, model.noise_scale
-    if isinstance(model, LearnedMixture):
-        return np.asarray(model.weights, dtype=float), tuple(model.components), 1.0
-    raise DataError(f"expected MixtureSpec or LearnedMixture, got {type(model)!r}")
-
-
-def align_similarity(truth: MixtureSpec, learned, s: int) -> AlignmentReport:
+def align_similarity(truth: MixtureSpec, learned: MixtureSpec, s: int) -> AlignmentReport:
     """Match components and compute similarity-aligned parameter errors.
 
     Matching minimizes the total Frobenius distance between Markov
@@ -307,8 +261,8 @@ def align_similarity(truth: MixtureSpec, learned, s: int) -> AlignmentReport:
     the two order-s observability matrices, which is exact whenever the
     estimate is an exact realization of the reference input-output map.
     """
-    w_true, comp_true, _ = mixture_parts(truth)
-    w_est, comp_est, _ = mixture_parts(learned)
+    w_true, comp_true = require_mixture(truth).weights, truth.components
+    w_est, comp_est = require_mixture(learned).weights, learned.components
     if len(comp_true) != len(comp_est):
         raise DataError(
             f"component counts differ: {len(comp_true)} vs {len(comp_est)}"

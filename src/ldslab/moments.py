@@ -116,16 +116,14 @@ def _accumulate_sixth(acc, pair, mp):
             acc[k1, k2] += pair[k1 + k2 + 2].T @ inner
 
 
-def _sixth_moment_sums(u, y, s, with_sq=False):
-    """Sums over trajectories of the six-fold products on the whole grid,
-    and of their squares when ``with_sq``.  Both are (g, g, g*mp, mp*mp)
-    arrays indexed [k1, k2, (k3, y3, u3), (y2, u2, y1, u1)] with g = 2s+1,
-    which reshape directly into the block grid."""
+def _sixth_moment_sums(u, y, s):
+    """Sums over trajectories of the six-fold products on the whole grid: a
+    (g, g, g*mp, mp*mp) array indexed [k1, k2, (k3, y3, u3), (y2, u2, y1, u1)]
+    with g = 2s+1, which reshapes directly into the block grid."""
     n, _, m = y.shape
     p = u.shape[2]
     mp, g, width = m * p, 2 * s + 1, 4 * s + 3
     sums = np.zeros((g, g, g * mp, mp * mp))
-    sumsqs = np.zeros_like(sums) if with_sq else None
     slab = np.empty((width, min(n, _CHUNK), g, m, p))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
@@ -138,9 +136,7 @@ def _sixth_moment_sums(u, y, s, with_sq=False):
         )
         pair = slab[:, : hi - lo].reshape(width, hi - lo, g * mp)
         _accumulate_sixth(sums, pair, mp)
-        if with_sq:
-            _accumulate_sixth(sumsqs, np.square(pair, out=pair), mp)
-    return sums, sumsqs
+    return sums
 
 
 def _block_shape(m, p):
@@ -161,16 +157,11 @@ def exact_sixth_moment_block(mix: MixtureSpec, k1: int, k2: int, k3: int) -> np.
 
 @dataclass(frozen=True)
 class MomentTensor6:
-    """All (2s+1)^3 sixth-moment blocks on a complete grid.
-
-    ``blocks[k1, k2, k3]`` is the (m,p,m,p,m,p) block; ``se`` (present
-    only when estimated with ``with_se=True``) holds the per-entry
-    Monte-Carlo standard errors on the same grid.
-    """
+    """All (2s+1)^3 sixth-moment blocks on a complete grid:
+    ``blocks[k1, k2, k3]`` is the (m,p,m,p,m,p) block."""
 
     blocks: np.ndarray
     s: int
-    se: np.ndarray = None
 
     def __post_init__(self):
         g = 2 * self.s + 1
@@ -195,19 +186,13 @@ class MomentTensor6:
         return self.blocks[k1, k2, k3]
 
     @classmethod
-    def estimate(cls, dataset, s: int, with_se: bool = False) -> "MomentTensor6":
+    def estimate(cls, dataset, s: int) -> "MomentTensor6":
         """Estimate every block from one streaming pass over the dataset."""
         u, y = _arrays(dataset, min_trajectory_length(s))
-        n = u.shape[0]
         g = 2 * s + 1
         shape = (g, g, g) + _block_shape(y.shape[2], u.shape[2])
-        sums, sumsqs = _sixth_moment_sums(u, y, s, with_sq=with_se)
-        blocks = (sums / n).reshape(shape)
-        se = None
-        if with_se:
-            var = np.maximum(sumsqs.reshape(shape) / n - blocks**2, 0.0)
-            se = np.sqrt(var / n)
-        return cls(blocks=blocks, s=s, se=se)
+        blocks = (_sixth_moment_sums(u, y, s) / u.shape[0]).reshape(shape)
+        return cls(blocks=blocks, s=s)
 
     @classmethod
     def exact(cls, mix: MixtureSpec, s: int) -> "MomentTensor6":

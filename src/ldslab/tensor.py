@@ -29,6 +29,8 @@ PINV_RTOL = 1e-12
 # Eigenvalues with imaginary part above IMAG_RTOL * spectral radius mean
 # the generic-real-factor assumption failed.
 IMAG_RTOL = 1e-6
+# Independent random contractions tried by jennrich_decompose.
+RESTARTS = 5
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,10 @@ def contract_mode3(t: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.asarray(t, dtype=float) @ np.asarray(a, dtype=float)
 
 
-def truncated_pinv(mat: np.ndarray, rtol: float = PINV_RTOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with a relative singular-value cutoff."""
+def truncated_pinv(mat: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse, singular values below PINV_RTOL * sigma_max cut."""
     u, sv, vt = np.linalg.svd(mat, full_matrices=False)
-    cut = rtol * sv[0] if sv.size and sv[0] > 0 else 0.0
+    cut = PINV_RTOL * sv[0] if sv.size and sv[0] > 0 else 0.0
     inv = np.where(sv > cut, 1.0 / np.where(sv > cut, sv, 1.0), 0.0)
     return (vt.T * inv) @ u.T
 
@@ -152,21 +154,18 @@ def _jennrich_once(t: np.ndarray, r: int, rng: np.random.Generator, tol: float) 
     ]
 
 
-def jennrich_decompose(
-    t: np.ndarray, r: int, rng: np.random.Generator, tol: float = 0.1,
-    restarts: int = 5,
-) -> list:
+def jennrich_decompose(t: np.ndarray, r: int, rng: np.random.Generator, tol: float = 0.1) -> list:
     """Decompose a q*q*q tensor into r rank-one components.
 
     ``tol`` is the acceptance threshold on |lambda*mu - 1| when pairing
     the eigenvalues of the two contracted-and-diagonalized matrices.
 
     The random contractions occasionally land near an eigenvalue
-    collision, where recovery degrades sharply; ``restarts`` independent
+    collision, where recovery degrades sharply; RESTARTS independent
     draws are made and the one whose components best reconstruct the
     input (smallest residual) is returned.  A pairing or rank failure
     propagates only if every draw fails.  Deterministic given
-    (t, r, generator state, tol, restarts).
+    (t, r, generator state, tol).
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 3 or len(set(t.shape)) != 1:
@@ -180,7 +179,7 @@ def jennrich_decompose(
     best = None
     best_residual = np.inf
     last_error = None
-    for _ in range(max(1, restarts)):
+    for _ in range(RESTARTS):
         try:
             components = _jennrich_once(t, r, rng, tol)
         except NumericalError as exc:
@@ -198,11 +197,9 @@ def rank_one_tensor(comp: RankOneComponent) -> np.ndarray:
     return np.einsum("i,j,k->ijk", comp.f1, comp.f2, comp.f3)
 
 
-def reconstruct(components, q: int = None) -> np.ndarray:
-    """Sum of the components' rank-one tensors (zero q*q*q tensor if empty)."""
+def reconstruct(components) -> np.ndarray:
+    """Sum of the (one or more) components' rank-one tensors."""
     comps = list(components)
-    if not comps:
-        return np.zeros((q or 0,) * 3)
     out = rank_one_tensor(comps[0])
     for comp in comps[1:]:
         out = out + rank_one_tensor(comp)

@@ -3,7 +3,7 @@
 No library or CLI path calls these, so they live with the tests: a
 one-trajectory simulator, the unrolled closed form of the LDS recurrence,
 the power-norm bound, the Markov-matrix flattening, direct per-block
-moment estimators, the C = I change of basis and the dense
+moment estimators, the sixth-moment standard errors, the C = I change of basis and the dense
 joint-covariance likelihood.
 """
 import numpy as np
@@ -23,10 +23,10 @@ def simulate_from_noise(params, x0, u, w, z):
     return L.Trajectory(u=u, y=_iterate_batch(params, x0, u[None], w[None], z[None])[0])
 
 
-def simulate_trajectory(params, length, noise, rng):
+def simulate_trajectory(params, length, noise_scale, rng):
     """One trajectory drawn the way the reproducibility contract orders it
     (``draw_lds_noise`` from ``rng``), run through the recurrence alone."""
-    x0, u, w, z = L.draw_lds_noise(params.dims, length, noise, rng)
+    x0, u, w, z = L.draw_lds_noise(params.dims, length, noise_scale, rng)
     return simulate_from_noise(params, x0, u, w, z)
 
 
@@ -86,6 +86,15 @@ def estimate_sixth_moment_block(dataset, k1, k2, k3):
         y[:, k1 + k2 + 1], u[:, k1 + 1],
         y[:, k1], u[:, 0],
     ) / len(u)
+
+
+def sixth_moment_se(dataset, s):
+    """Monte-Carlo standard errors of ``MomentTensor6.estimate(dataset, s)``,
+    entry by entry.  The square of a six-fold product is the product of the
+    squares, so E[x^2] is the same estimate on (u^2, y^2)."""
+    mean = L.MomentTensor6.estimate(dataset, s).blocks
+    mean_sq = L.MomentTensor6.estimate(L.Dataset(u=dataset.u**2, y=dataset.y**2), s).blocks
+    return np.sqrt(np.maximum(mean_sq - mean**2, 0.0) / len(dataset))
 
 
 def normalize_fully_observed(params):

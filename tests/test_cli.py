@@ -6,6 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ldslab as L
 import oracles
@@ -96,6 +99,66 @@ def test_learn_rejects_file_mixing_labelled_and_unlabelled_lines(tmp_path, capsy
     code, err = _learn_exit_and_error(tmp_path, capsys, mixed)
     assert code == 3
     assert f"{mixed}:3:" in err and "every line or on none" in err
+
+
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3), st.integers(1, 3)),
+    labelled=st.booleans(),
+    data=st.data(),
+)
+def test_dataset_file_round_trip_is_exact(tmp_path_factory, shape, labelled, data):
+    """save_dataset then load_dataset gives back every value and label
+    bit for bit, over the whole range of finite doubles."""
+    n_traj, length, p, m = shape
+    doubles = st.floats(allow_nan=False, allow_infinity=False)
+    u = data.draw(arrays(np.float64, (n_traj, length, p), elements=doubles))
+    y = data.draw(arrays(np.float64, (n_traj, length, m), elements=doubles))
+    labels = (data.draw(arrays(np.int64, n_traj, elements=st.integers(-2**63, 2**63 - 1)))
+              if labelled else None)
+    path = tmp_path_factory.mktemp("jsonl") / "ds.jsonl"
+    save_dataset(path, L.Dataset(u=u, y=y, labels=labels))
+    back = load_dataset(path)
+    # bytes, not values: -0.0 == 0.0, but the sign of zero must survive too
+    assert back.u.tobytes() == u.tobytes() and back.y.tobytes() == y.tobytes()
+    assert back.labels is None if labels is None else np.array_equal(back.labels, labels)
+
+
+def test_learned_model_file_round_trip(tmp_path):
+    """A learned mixture is a MixtureSpec; its model file loads back with
+    bit-identical weights and matrices."""
+    mix = L.MixtureSpec(
+        components=(scalar_params(0.9, d=1.0), scalar_params(-0.9, d=-1.0)),
+        weights=[0.4, 0.6],
+    )
+    ds = L.sample_mixture_dataset(mix, 5000, 18, L.NoiseConfig(seed=2))
+    learned = L.learn_mixture(ds, 2, 1, 2, np.random.default_rng(3))
+    assert isinstance(learned, L.MixtureSpec) and learned.noise_scale == 1.0
+    assert {"tensor_residual", "tensor_norm", "clamped", "raw_weight_sum"} <= set(learned.diagnostics)
+    path = tmp_path / "model.json"
+    save_mixture(path, learned)
+    back = load_mixture(path)
+    assert np.array_equal(back.weights, learned.weights) and back.noise_scale == 1.0
+    for a, b in zip(back.components, learned.components):
+        for name in ("a", "b", "c", "d"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_load_mixture_rejects_wrong_sizes_and_bad_json(tmp_path, capsys):
+    mix = L.MixtureSpec(components=(scalar_params(0.5), scalar_params(-0.5)), weights=[0.5, 0.5])
+    path = tmp_path / "mix.json"
+    save_mixture(path, mix)
+    raw = json.loads(path.read_text())
+    for key, wrong in (("k", 5), ("n", 3)):
+        path.write_text(json.dumps({**raw, key: wrong}))
+        with pytest.raises(L.DataError, match="declares"):
+            load_mixture(path)
+    assert main(["evaluate", "--truth", str(path), "--learned", str(path),
+                 "--s", "2", "--out", str(tmp_path / "eval")]) == 3
+    assert "LDSLAB_ERROR code=3 kind=data" in capsys.readouterr().err
+    path.write_text(path.read_text()[:-3])  # truncated: not JSON
+    assert main(["evaluate", "--truth", str(path), "--learned", str(path),
+                 "--s", "2", "--out", str(tmp_path / "eval")]) == 3
+    assert "malformed mixture file" in capsys.readouterr().err
 
 
 def test_float_precision_17_digits():
@@ -250,6 +313,34 @@ def test_config_file_overrides_flags(tmp_path):
     assert code == 0
     ds = load_dataset(out)
     assert len(ds) == 5 and len(ds[0]) == 7
+
+
+def test_config_values_go_through_the_flag_types(tmp_path, capsys):
+    """A config value is converted like the flag's text: "5" is the int 5; a
+    value the flag's type rejects, or a non-bool for a store_true flag, is a
+    usage error (exit 2) with the structured error line."""
+    def generate(config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        return main(["generate", "--k", "1", "--m", "1", "--n", "1", "--p", "1", "--seed", "1",
+                     "--config", str(cfg), "--out", str(tmp_path / "ds.jsonl"),
+                     "--truth-out", str(tmp_path / "t.json"),
+                     "--manifest", str(tmp_path / "manifest.json")])
+
+    assert generate({"n_traj": "5", "length": 7, "noise_scale": "0.5"}) == 0
+    assert len(load_dataset(tmp_path / "ds.jsonl")) == 5
+    assert load_mixture(tmp_path / "t.json").noise_scale == 0.5
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"]["n_traj"] == 5
+    for bad in ({"n_traj": "five", "length": 7}, {"n_traj": 5.5, "length": 7},
+                {"n_traj": True, "length": 7}, {"n_traj": None, "length": 7}):
+        capsys.readouterr()
+        assert generate(bad) == 2, bad
+        assert "LDSLAB_ERROR code=2 kind=usage" in capsys.readouterr().err
+    cfg = tmp_path / "strict.json"
+    cfg.write_text(json.dumps({"strict": "yes"}))
+    assert main(["validate", "--model", str(tmp_path / "t.json"), "--s", "1", "--kappa", "10",
+                 "--w-min", "0.1", "--gamma", "0", "--config", str(cfg)]) == 2
+    assert "'strict' needs true or false" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path):

@@ -169,12 +169,3 @@ def test_order_bounds_checked():
         L.ho_kalman(g, 2, 3)  # n > min(ms, ps)
     with pytest.raises(DataError):
         L.ho_kalman(g, 2, 0)
-
-
-def test_order_inferred_from_hankel_rank():
-    rng = np.random.default_rng(7)
-    params = observable_controllable((2, 2, 2), rng, 2)
-    g = L.markov_matrix(params, 4)
-    est = L.ho_kalman(g, 2)  # n omitted
-    assert est.n == 2
-    assert L.realization_residual(g, est, 2) <= 1e-8

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,8 +47,6 @@ def test_mixture_weight_checks():
 def test_trajectory_checks():
     with pytest.raises(DataError):
         L.Trajectory(u=np.zeros((3, 1)), y=np.zeros((2, 1)))
-    with pytest.raises(DataError):
-        L.NoiseConfig(seed=0, noise_scale=-1.0)
 
 
 def test_dataset_views_share_the_arrays():
@@ -118,7 +118,7 @@ def test_simulate_one_step_delay():
 def test_simulate_feedthrough_only():
     params = L.LdsParams(a=np.zeros((2, 2)), b=np.zeros((2, 2)), c=np.eye(2), d=2 * np.eye(2))
     rng = L.substream(3, 0)
-    traj = oracles.simulate_trajectory(params, 5, L.NoiseConfig(seed=0, noise_scale=0.0), rng)
+    traj = oracles.simulate_trajectory(params, 5, 0.0, rng)
     assert np.allclose(traj.y, 2 * traj.u, atol=1e-14)
 
 
@@ -148,8 +148,8 @@ def test_simulate_matches_closed_form_on_shared_draws():
         dims = tuple(int(rng.integers(1, 4)) for _ in range(3))
         params = L.random_lds(dims, rng)
         length = int(rng.integers(1, 12))
-        x0, u, w, z = L.draw_lds_noise(dims, length, L.NoiseConfig(seed=0), L.substream(seed, 0))
-        traj = oracles.simulate_trajectory(params, length, L.NoiseConfig(seed=0), L.substream(seed, 0))
+        x0, u, w, z = L.draw_lds_noise(dims, length, 1.0, L.substream(seed, 0))
+        traj = oracles.simulate_trajectory(params, length, 1.0, L.substream(seed, 0))
         assert np.array_equal(traj.u, u)
         for t in range(length):
             ref = oracles.closed_form_observation(params, t, u, w, z, x0)
@@ -160,9 +160,7 @@ def test_noiseless_simulation_equals_closed_form_with_zero_noise():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         params = L.random_lds((2, 2, 2), rng)
-        traj = oracles.simulate_trajectory(
-            params, 10, L.NoiseConfig(seed=seed, noise_scale=0.0), L.substream(seed, 0)
-        )
+        traj = oracles.simulate_trajectory(params, 10, 0.0, L.substream(seed, 0))
         zeros_n = np.zeros((10, params.n))
         zeros_m = np.zeros((10, params.m))
         for t in range(10):
@@ -174,9 +172,8 @@ def test_noiseless_simulation_equals_closed_form_with_zero_noise():
 
 def test_simulate_deterministic_given_seed():
     params = scalar_params(0.5)
-    noise = L.NoiseConfig(seed=9, noise_scale=1.0)
-    t1 = oracles.simulate_trajectory(params, 7, noise, L.substream(9, 3))
-    t2 = oracles.simulate_trajectory(params, 7, noise, L.substream(9, 3))
+    t1 = oracles.simulate_trajectory(params, 7, 1.0, L.substream(9, 3))
+    t2 = oracles.simulate_trajectory(params, 7, 1.0, L.substream(9, 3))
     assert np.array_equal(t1.u, t2.u) and np.array_equal(t1.y, t2.y)
 
 
@@ -205,22 +202,28 @@ def test_dataset_rejects_empty():
 
 def test_dataset_matches_single_trajectory_substreams():
     """Trajectory i is exactly substream i: the label draw first, then the
-    noise block of the drawn component, scaled by noise_scale."""
+    noise block of the drawn component, scaled by the mixture's noise_scale;
+    the same seed at unit scale gives the same inputs and labels but other
+    outputs."""
     mix = L.MixtureSpec(
         components=(scalar_params(0.3, d=1.0), scalar_params(-0.6, b=2.0, d=-0.5)),
         weights=[0.4, 0.6],
+        noise_scale=0.5,
     )
-    noise = L.NoiseConfig(seed=21, noise_scale=0.5)
-    ds = L.sample_mixture_dataset(mix, 16, 6, noise)
+    ds = L.sample_mixture_dataset(mix, 16, 6, L.NoiseConfig(seed=21))
     cumw = np.cumsum(mix.weights)
     for i, traj in enumerate(ds):
         rng = L.substream(21, i)
         label = int(np.searchsorted(cumw, rng.random(), side="right"))
-        ref = oracles.simulate_trajectory(mix.components[label], 6, noise, rng)
+        ref = oracles.simulate_trajectory(mix.components[label], 6, 0.5, rng)
         assert traj.label == label
         assert np.array_equal(traj.u, ref.u)
         assert np.array_equal(traj.y, ref.y)
     assert set(ds.labels.tolist()) == {0, 1}
+    unit = L.sample_mixture_dataset(dataclasses.replace(mix, noise_scale=1.0), 16, 6,
+                                    L.NoiseConfig(seed=21))
+    assert np.array_equal(unit.u, ds.u) and np.array_equal(unit.labels, ds.labels)
+    assert not np.allclose(unit.y, ds.y)
 
 
 # ---------- diagnostic matrices ----------

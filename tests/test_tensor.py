@@ -146,8 +146,7 @@ def test_least_squares_exact_residual():
 
 # ---------- reconstruction helpers ----------
 
-def test_reconstruct_empty_and_indicator():
-    assert np.array_equal(L.reconstruct([], q=3), np.zeros((3, 3, 3)))
+def test_reconstruct_indicator():
     e = np.eye(3)
     comp = L.RankOneComponent(f1=e[0], f2=e[1], f3=e[2])
     t = L.reconstruct([comp])
