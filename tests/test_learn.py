@@ -234,6 +234,24 @@ def test_permutation_equivariance_on_exact_moments(seed, k, data):
     assert abs(rep1.max_error - rep2.max_error) <= 1e-6
 
 
+def test_exact_moments_recover_both_orders():
+    """A pinned case of the property above that also bounds the recovery
+    error: both orders of the same mixture are learned to 1e-8."""
+    rng = np.random.default_rng(7)
+    mix = L.random_mixture(2, (2, 2, 2), rng, weights=[0.35, 0.65], min_gamma=0.3, s=2)
+    swapped = L.MixtureSpec(
+        components=(mix.components[1], mix.components[0]),
+        weights=[mix.weights[1], mix.weights[0]],
+    )
+    out1 = L.learn_mixture_from_moments(*exact_inputs(mix, 2), 2, 2, 2, np.random.default_rng(8))
+    out2 = L.learn_mixture_from_moments(*exact_inputs(swapped, 2), 2, 2, 2, np.random.default_rng(8))
+    rep1 = L.align_similarity(mix, out1, 2)
+    rep2 = L.align_similarity(swapped, out2, 2)
+    assert rep1.max_error <= 1e-8 and rep2.max_error <= 1e-8
+    # the two references list the same components in swapped order
+    assert rep2.permutation == tuple(1 - p for p in rep1.permutation)
+
+
 # ---------- alignment ----------
 
 def test_align_truth_with_itself():
