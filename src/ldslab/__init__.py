@@ -59,10 +59,4 @@ from .moments import (
     unflatten_markov,
 )
 from .rng import substream
-from .tensor import (
-    RankOneComponent,
-    contract_mode3,
-    jennrich_decompose,
-    rank_one_tensor,
-    reconstruct,
-)
+from .tensor import contract_mode3, jennrich_decompose, reconstruct

@@ -22,6 +22,7 @@ import sys
 import time
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from . import __version__
 from .cluster import cluster_dataset
@@ -167,7 +168,7 @@ def _learn_from_file(args):
     times["load"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
-    learned = learn_mixture(dataset, args.k, args.n, args.s, rng, tol=args.tol)
+    learned = learn_mixture(dataset, args.k, args.n, args.s, rng)
     times["learn"] = time.perf_counter() - t0
     return learned, times
 
@@ -229,6 +230,19 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _matched_correct(argmax: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Whether each argmax hits its label, once the k components are matched
+    one-to-one to the label values so that the most trajectories agree (a
+    learned model's component order is arbitrary)."""
+    values, label_index = np.unique(labels, return_inverse=True)
+    counts = np.zeros((k, len(values)), dtype=int)
+    np.add.at(counts, (argmax, label_index), 1)
+    rows, cols = linear_sum_assignment(counts, maximize=True)
+    match = np.full(k, -1)
+    match[rows] = cols
+    return match[argmax] == label_index
+
+
 def cmd_cluster(args) -> int:
     _require(args, "model", "data", "out")
     model = load_mixture(args.model)
@@ -240,11 +254,11 @@ def cmd_cluster(args) -> int:
     header = ["index"]
     if have_labels:
         header.append("label")
+        correct = _matched_correct(np.array([post.argmax for post in posteriors]), labels, k)
     header += [f"p_{i}" for i in range(k)] + ["argmax"]
     if have_labels:
         header.append("correct")
     rows = []
-    n_correct = 0
     for idx, post in enumerate(posteriors):
         row = [idx]
         if have_labels:
@@ -252,13 +266,11 @@ def cmd_cluster(args) -> int:
         row += [float(p) for p in post.probabilities]
         row.append(post.argmax)
         if have_labels:
-            correct = post.argmax == labels[idx]
-            n_correct += int(correct)
-            row.append(bool(correct))
+            row.append(bool(correct[idx]))
         rows.append(row)
     save_report(args.out, header, rows)
     if have_labels:
-        print(f"clustering accuracy: {n_correct / len(dataset):.4f}")
+        print(f"clustering accuracy: {correct.mean():.4f}")
     else:
         print("dataset is unlabelled; accuracy omitted")
     print(f"posteriors written to {args.out}.csv and {args.out}.json")
@@ -314,7 +326,7 @@ def cmd_sweep(args) -> int:
         t0 = time.perf_counter()
         dataset = sample_mixture_dataset(truth, n_traj, args.length, NoiseConfig(seed=args.seed))
         rng = np.random.default_rng(args.seed)
-        learned = learn_mixture(dataset, args.k, args.n, args.s, rng, tol=args.tol)
+        learned = learn_mixture(dataset, args.k, args.n, args.s, rng)
         report = align_similarity(truth, learned, args.s)
         wall = time.perf_counter() - t0
         rows.append([
@@ -347,10 +359,10 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--config", help="JSON config file; overrides individual flags")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("generate", help="sample a dataset from a mixture")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", help="mixture JSON to sample from (else random)")
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
@@ -368,11 +380,11 @@ def _build_parser():
 
     p = sub.add_parser("learn", help="learn a mixture from a dataset")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data", help="dataset JSONL path")
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int)
-    p.add_argument("--tol", type=float, default=1.0)
     p.add_argument("--out", help="learned model JSON path")
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_learn)
@@ -406,13 +418,13 @@ def _build_parser():
 
     p = sub.add_parser("sweep", help="error-vs-N sweep against a truth model")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truth")
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--length", type=int)
     p.add_argument("--noise-scale", type=float, help="default: the model's noise_scale")
-    p.add_argument("--tol", type=float, default=1.0)
     p.add_argument("--n-grid", type=lambda v: [int(x) for x in v.split(",") if x],
                    help="comma-separated sample counts")
     p.add_argument("--out", help="report base path (.csv/.json appended)")

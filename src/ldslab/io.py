@@ -179,9 +179,9 @@ def save_dataset(path: str, dataset: Dataset) -> None:
 def load_dataset(path: str) -> Dataset:
     """Read a dataset file into one Dataset.
 
-    A malformed line, a trajectory whose shape differs from the first
-    line's, or a mix of labelled and unlabelled lines raises DataError
-    naming ``path:line``.
+    A malformed line, a label that is not a JSON integer, a trajectory
+    whose shape differs from the first line's, or a mix of labelled and
+    unlabelled lines raises DataError naming ``path:line``.
     """
     with open(path, "r", encoding="utf-8") as handle:
         n_traj = sum(1 for line in handle if line.strip())
@@ -193,9 +193,11 @@ def load_dataset(path: str) -> Dataset:
             try:
                 raw = _DECODER.decode(line)
                 u_row, y_row = np.asarray(raw["u"], dtype=float), np.asarray(raw["y"], dtype=float)
-                label = None if raw.get("label") is None else int(raw["label"])
+                label = raw.get("label")
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed trajectory: {exc}") from exc
+            if label is not None and type(label) is not int:  # not a float, bool or string
+                raise DataError(f"{path}:{lineno}: label {label!r} is not a JSON integer")
             if row == 0:
                 first, u, y = lineno, np.empty((n_traj, *u_row.shape)), np.empty((n_traj, *y_row.shape))
                 labels = None if label is None else np.empty(n_traj, dtype=int)

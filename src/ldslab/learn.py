@@ -30,7 +30,7 @@ from .moments import (
     symmetrize_tensor3,
     unflatten_markov,
 )
-from .tensor import jennrich_decompose, rank_one_tensor, truncated_pinv
+from .tensor import jennrich_decompose, truncated_pinv
 
 __all__ = [
     "LearnedMixture",
@@ -53,57 +53,31 @@ GRAM_RTOL = 1e-10
 COND_FLAG = 1e8
 
 
-def _signed_mode1_vector(comp) -> np.ndarray:
-    """Mode-1 vector of a rank-one term, with signs.
-
-    Magnitudes are the Frobenius norms of the mode-1 slices; signs come
-    from the mode-1 fiber at the largest-magnitude (mode-2, mode-3)
-    index pair, and the global sign is fixed so the implied component
-    weight is positive (odd-order symmetric terms with positive weight
-    determine the factor sign uniquely).
-    """
-    mags = np.abs(comp.f1) * np.linalg.norm(comp.f2) * np.linalg.norm(comp.f3)
-    a_star = int(np.argmax(np.abs(comp.f2)))
-    b_star = int(np.argmax(np.abs(comp.f3)))
-    fiber = comp.f1 * (comp.f2[a_star] * comp.f3[b_star])
-    signs = np.where(fiber < 0, -1.0, 1.0)
-    vhat = mags * signs
-    norm = np.linalg.norm(vhat)
-    if norm == 0:
-        raise NumericalError("zero-norm rank-one component")
-    unit = vhat / norm
-    cube = (comp.f1 @ unit) * (comp.f2 @ unit) * (comp.f3 @ unit)
-    if cube < 0:
-        vhat = -vhat
-    return vhat
-
-
-def learn_markov_components(
-    flat: FlatTensor3, k: int, rng: np.random.Generator, tol: float = 0.1
-):
+def learn_markov_components(flat: FlatTensor3, k: int, rng: np.random.Generator):
     """Recover Gtilde_i ~ w_i^(1/3) G_i from the flattened moment tensor.
 
-    Runs the rank-k decomposition, turns each rank-one term into its
-    signed mode-1 vector vhat_i ~ w_i ||v(G_i)||^2 v(G_i), and returns
-    (gtilde, details): unflatten(vhat_i / ||vhat_i||^(2/3)) for each i,
-    and the Frobenius norms ``tensor_residual`` of the decomposition's
-    residual and ``tensor_norm`` of the tensor.
+    Runs the rank-k decomposition and turns each term (f1, f2, f3) into
+    its signed mode-1 vector vhat_i = f1 ||f2|| ||f3||, negated when
+    (f1.f2)(f1.f3) < 0.  Then vhat_i ~ w_i ||v(G_i)||^2 v(G_i): a term
+    lambda v (x) v (x) v split as (a v, b v, c v) with abc = lambda gives
+    lambda v under this rule, whatever the split.  Returns (gtilde,
+    details): unflatten(vhat_i / ||vhat_i||^(2/3)) for each i, and the
+    Frobenius norms ``tensor_residual`` of the decomposition's residual
+    and ``tensor_norm`` of the tensor.
     """
-    if k < 1:
-        raise DataError("k must be >= 1")
-    if k > flat.q:
-        raise DataError(f"k={k} exceeds tensor dimension q={flat.q}")
-    components = jennrich_decompose(flat.data, k, rng, tol=tol)
+    (f1, f2, f3), residual = jennrich_decompose(flat.data, k, rng)
     gtilde = []
-    for comp in components:
-        vhat = _signed_mode1_vector(comp)
-        scaled = vhat / (np.linalg.norm(vhat) ** (2.0 / 3.0))
-        gtilde.append(unflatten_markov(scaled, flat.m, flat.p))
-    residual = flat.data.copy()
-    for comp in components:
-        residual -= rank_one_tensor(comp)
+    for i in range(k):
+        a, b, c = f1[:, i], f2[:, i], f3[:, i]
+        vhat = a * np.linalg.norm(b) * np.linalg.norm(c)
+        if (a @ b) * (a @ c) < 0:
+            vhat = -vhat
+        norm = np.linalg.norm(vhat)
+        if norm == 0:
+            raise NumericalError("zero-norm rank-one component")
+        gtilde.append(unflatten_markov(vhat / norm ** (2.0 / 3.0), flat.m, flat.p))
     details = {
-        "tensor_residual": float(np.linalg.norm(residual)),
+        "tensor_residual": residual,
         "tensor_norm": float(np.linalg.norm(flat.data)),
     }
     return gtilde, details
@@ -166,13 +140,7 @@ class LearnedMixture(MixtureSpec):
 
 
 def learn_mixture_from_moments(
-    flat: FlatTensor3,
-    rhat: CrossCovarianceStack,
-    k: int,
-    n: int,
-    s: int,
-    rng: np.random.Generator,
-    tol: float = 1.0,
+    flat: FlatTensor3, rhat: CrossCovarianceStack, k: int, n: int, s: int, rng: np.random.Generator
 ) -> LearnedMixture:
     """Run the pipeline on already-computed moment statistics.
 
@@ -184,7 +152,7 @@ def learn_mixture_from_moments(
     flat = FlatTensor3(
         data=symmetrize_tensor3(flat.data), s=flat.s, m=flat.m, p=flat.p
     )
-    gtilde, details = learn_markov_components(flat, k, rng, tol=tol)
+    gtilde, details = learn_markov_components(flat, k, rng)
     wtilde, winfo = recover_weights(gtilde, rhat)
     weights, ghat, raw = finalize_components(gtilde, wtilde)
     components = tuple(ho_kalman(g, s, n) for g in ghat)
@@ -198,14 +166,7 @@ def learn_mixture_from_moments(
     return LearnedMixture(components=components, weights=weights, diagnostics=diagnostics)
 
 
-def learn_mixture(
-    dataset,
-    k: int,
-    n: int,
-    s: int,
-    rng: np.random.Generator,
-    tol: float = 1.0,
-) -> LearnedMixture:
+def learn_mixture(dataset, k: int, n: int, s: int, rng: np.random.Generator) -> LearnedMixture:
     """Learn a k-component mixture of order-n systems from a Dataset.
 
     Its trajectories must have length >= min_trajectory_length(s) = 6s+3;
@@ -214,7 +175,7 @@ def learn_mixture(
     """
     flat = assemble_pi(MomentTensor6.estimate(dataset, s))
     rhat = CrossCovarianceStack.estimate(dataset, s)
-    return learn_mixture_from_moments(flat, rhat, k, n, s, rng, tol=tol)
+    return learn_mixture_from_moments(flat, rhat, k, n, s, rng)
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,22 @@ the factor matrices; the eigenvectors of T_r^(a) (T_r^(b))^+ and of
 ((T_r^(a))^+ T_r^(b))^T recover the mode-1 and mode-2 factors, matched
 through (approximately) reciprocal eigenvalues, and the mode-3 factors
 come out of a single linear least-squares solve.
+
+A decomposition is three q*r factor matrices (f1, f2, f3): column i of
+each is term i, and T ~ sum_i f1[:, i] (x) f2[:, i] (x) f3[:, i].  Only the
+outer products are meaningful; the scale split between the three factors
+of a term is arbitrary.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, EigenPairingError, NumericalError
 
 __all__ = [
-    "RankOneComponent",
+    "PAIR_TOL",
     "jennrich_decompose",
     "reconstruct",
-    "rank_one_tensor",
     "contract_mode3",
     "truncated_pinv",
 ]
@@ -31,19 +33,8 @@ PINV_RTOL = 1e-12
 IMAG_RTOL = 1e-6
 # Independent random contractions tried by jennrich_decompose.
 RESTARTS = 5
-
-
-@dataclass(frozen=True)
-class RankOneComponent:
-    """One recovered rank-one term f1 (x) f2 (x) f3.
-
-    Only the outer product is contractually meaningful; the scale split
-    between the three factors is arbitrary.
-    """
-
-    f1: np.ndarray
-    f2: np.ndarray
-    f3: np.ndarray
+# A pairing of eigenvalues lam, mu is accepted when |lam*mu - 1| <= PAIR_TOL.
+PAIR_TOL = 1.0
 
 
 def contract_mode3(t: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -90,11 +81,11 @@ def _top_eigenpairs(mat: np.ndarray, r: int):
     return vals.real, out
 
 
-def _pair_reciprocal(lam: np.ndarray, mu: np.ndarray, tol: float) -> np.ndarray:
+def _pair_reciprocal(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Match lam[i] to mu[j] greedily by smallest |lam*mu - 1|.
 
     Returns perm with mu[perm[i]] paired to lam[i]; raises
-    :class:`EigenPairingError` if any accepted pair misses tol.
+    :class:`EigenPairingError` if any accepted pair misses PAIR_TOL.
     """
     r = len(lam)
     cost = np.abs(np.outer(lam, mu) - 1.0)
@@ -111,17 +102,17 @@ def _pair_reciprocal(lam: np.ndarray, mu: np.ndarray, tol: float) -> np.ndarray:
         residual[i] = cost[i, j]
         if np.all(perm >= 0):
             break
-    if np.any(residual > tol):
+    if np.any(residual > PAIR_TOL):
         raise EigenPairingError(
-            f"eigenvalue pairing failed: residuals {residual!r} exceed {tol}",
+            f"eigenvalue pairing failed: residuals {residual!r} exceed {PAIR_TOL}",
             left=lam,
             right=mu,
-            unmatched=residual[residual > tol],
+            unmatched=residual[residual > PAIR_TOL],
         )
     return perm
 
 
-def _jennrich_once(t: np.ndarray, r: int, rng: np.random.Generator, tol: float) -> list:
+def _jennrich_once(t: np.ndarray, r: int, rng: np.random.Generator) -> tuple:
     """One pass of the seven decomposition steps with fresh contractions."""
     q = t.shape[0]
     a = rng.standard_normal(q)
@@ -135,13 +126,11 @@ def _jennrich_once(t: np.ndarray, r: int, rng: np.random.Generator, tol: float) 
     v_mat = (truncated_pinv(ta) @ tb).T
     lam, u_vecs = _top_eigenpairs(u_mat, r)
     mu, v_vecs = _top_eigenpairs(v_mat, r)
-    perm = _pair_reciprocal(lam, mu, tol)
+    perm = _pair_reciprocal(lam, mu)
     v_vecs = v_vecs[:, perm]
 
     # T[:, :, z] = sum_i w_i[z] * u_i v_i^T: one least-squares solve for all z.
-    design = np.empty((q * q, r))
-    for i in range(r):
-        design[:, i] = np.outer(u_vecs[:, i], v_vecs[:, i]).ravel()
+    design = np.einsum("ir,jr->ijr", u_vecs, v_vecs).reshape(q * q, r)
     sv = np.linalg.svd(design, compute_uv=False)
     if sv[-1] <= PINV_RTOL * sv[0]:
         raise NumericalError(
@@ -149,23 +138,21 @@ def _jennrich_once(t: np.ndarray, r: int, rng: np.random.Generator, tol: float) 
             f"numerically collinear (singular values {sv!r})"
         )
     w_all, *_ = np.linalg.lstsq(design, t.reshape(q * q, q), rcond=None)
-    return [
-        RankOneComponent(f1=u_vecs[:, i], f2=v_vecs[:, i], f3=w_all[i]) for i in range(r)
-    ]
+    return u_vecs, v_vecs, w_all.T
 
 
-def jennrich_decompose(t: np.ndarray, r: int, rng: np.random.Generator, tol: float = 0.1) -> list:
-    """Decompose a q*q*q tensor into r rank-one components.
+def jennrich_decompose(t: np.ndarray, r: int, rng: np.random.Generator) -> tuple:
+    """Decompose a q*q*q tensor into r rank-one terms.
 
-    ``tol`` is the acceptance threshold on |lambda*mu - 1| when pairing
-    the eigenvalues of the two contracted-and-diagonalized matrices.
+    Returns ``((f1, f2, f3), residual)``: three q*r factor matrices whose
+    column i is term i, and the Frobenius norm of t - reconstruct(f1, f2, f3).
 
     The random contractions occasionally land near an eigenvalue
     collision, where recovery degrades sharply; RESTARTS independent
-    draws are made and the one whose components best reconstruct the
-    input (smallest residual) is returned.  A pairing or rank failure
-    propagates only if every draw fails.  Deterministic given
-    (t, r, generator state, tol).
+    draws are made and the one with the smallest residual is returned.
+    A draw fails when its eigenvalues pair worse than PAIR_TOL or its
+    factors are numerically rank deficient; the failure propagates only
+    if every draw fails.  Deterministic given (t, r, generator state).
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 3 or len(set(t.shape)) != 1:
@@ -181,26 +168,18 @@ def jennrich_decompose(t: np.ndarray, r: int, rng: np.random.Generator, tol: flo
     last_error = None
     for _ in range(RESTARTS):
         try:
-            components = _jennrich_once(t, r, rng, tol)
+            factors = _jennrich_once(t, r, rng)
         except NumericalError as exc:
             last_error = exc
             continue
-        residual = float(np.linalg.norm(t - reconstruct(components)))
+        residual = float(np.linalg.norm(t - reconstruct(*factors)))
         if residual < best_residual:
-            best, best_residual = components, residual
+            best, best_residual = factors, residual
     if best is None:
         raise last_error
-    return best
+    return best, best_residual
 
 
-def rank_one_tensor(comp: RankOneComponent) -> np.ndarray:
-    return np.einsum("i,j,k->ijk", comp.f1, comp.f2, comp.f3)
-
-
-def reconstruct(components) -> np.ndarray:
-    """Sum of the (one or more) components' rank-one tensors."""
-    comps = list(components)
-    out = rank_one_tensor(comps[0])
-    for comp in comps[1:]:
-        out = out + rank_one_tensor(comp)
-    return out
+def reconstruct(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
+    """The tensor sum_i f1[:, i] (x) f2[:, i] (x) f3[:, i] of three factor matrices."""
+    return np.einsum("ir,jr,kr->ijk", f1, f2, f3)

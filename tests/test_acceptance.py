@@ -89,8 +89,9 @@ def _random_factors(q, r, rng, smin=0.1, tries=200):
     raise RuntimeError("factor sampling failed")
 
 
-def _matched_error(true_terms, components):
-    est = [L.rank_one_tensor(c) for c in components]
+def _matched_error(true_terms, factors):
+    f1, f2, f3 = factors
+    est = [np.einsum("i,j,k->ijk", f1[:, i], f2[:, i], f3[:, i]) for i in range(f1.shape[1])]
     cost = np.array([[np.linalg.norm(t - e) for e in est] for t in true_terms])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
@@ -113,15 +114,15 @@ def test_criterion_3_jennrich():
             for i in range(r)
         ]
         try:
-            comps = L.jennrich_decompose(tensor, r, np.random.default_rng(61_000 + trial))
-            if _matched_error(truth, comps) <= 1e-6:
+            factors, _ = L.jennrich_decompose(tensor, r, np.random.default_rng(61_000 + trial))
+            if _matched_error(truth, factors) <= 1e-6:
                 exact_ok += 1
         except L.LdsLabError:
             pass
         noisy = tensor + rng.standard_normal(tensor.shape) * 1e-6
         try:
-            comps = L.jennrich_decompose(noisy, r, np.random.default_rng(62_000 + trial))
-            if _matched_error(truth, comps) <= 1e-3:
+            factors, _ = L.jennrich_decompose(noisy, r, np.random.default_rng(62_000 + trial))
+            if _matched_error(truth, factors) <= 1e-3:
                 robust_ok += 1
         except L.LdsLabError:
             pass

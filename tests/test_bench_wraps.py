@@ -5,6 +5,12 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
+
+import ldslab as L
+from ldslab import tensor
+from ldslab.moments import MomentTensor6
+
 FLOWS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "flows.py")
 
 
@@ -28,3 +34,27 @@ def test_every_attribute_the_benchmark_wraps_exists(monkeypatch):
     flows.wrap_layers(tracer)
     assert ("ldslab.tensor", "reconstruct") in tracer.wrapped
     assert ("ldslab.cli", "cmd_cluster") in tracer.wrapped
+
+
+def test_restart_counts_come_from_the_decomposition(monkeypatch, benchmark_mixture):
+    """perfbench reads ``tensor.restart_attempts`` as contract_mode3 calls / 2
+    and ``tensor.restart_successes`` as reconstruct calls: one learn on exact
+    moments must make two contractions and one reconstruction per restart, and
+    no reconstruction of its own."""
+    calls = {"contract_mode3": 0, "reconstruct": 0}
+
+    def counting(name):
+        inner = getattr(tensor, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    s = 2
+    flat = L.assemble_pi(MomentTensor6.exact(benchmark_mixture, s))
+    rhat = L.CrossCovarianceStack.exact(benchmark_mixture, s)
+    for name in calls:
+        monkeypatch.setattr(tensor, name, counting(name))
+    L.learn_mixture_from_moments(flat, rhat, benchmark_mixture.k, 2, s, np.random.default_rng(0))
+    assert calls == {"contract_mode3": 2 * tensor.RESTARTS, "reconstruct": tensor.RESTARTS}

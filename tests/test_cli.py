@@ -101,6 +101,23 @@ def test_learn_rejects_file_mixing_labelled_and_unlabelled_lines(tmp_path, capsy
     assert f"{mixed}:3:" in err and "every line or on none" in err
 
 
+def test_load_dataset_accepts_only_integer_labels(tmp_path, capsys):
+    """A label must be a JSON integer: 1.7 or true on a line is a data error
+    naming that line, not the label 1."""
+    mix = L.MixtureSpec(components=(scalar_params(0.5, d=1.0),), weights=[1.0])
+    save_dataset(tmp_path / "ok.jsonl", L.sample_mixture_dataset(mix, 2, 18, L.NoiseConfig(seed=1)))
+    first, second = (tmp_path / "ok.jsonl").read_text().splitlines()
+    for bad in (1.7, True, "1"):
+        raw = json.loads(second)
+        raw["label"] = bad
+        path = tmp_path / "bad.jsonl"
+        path.write_text(first + "\n" + json.dumps(raw) + "\n")
+        with pytest.raises(L.DataError, match=f"{path}:2: label"):
+            load_dataset(path)
+        code, err = _learn_exit_and_error(tmp_path, capsys, path)
+        assert code == 3 and f"{path}:2:" in err
+
+
 @given(
     shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3), st.integers(1, 3)),
     labelled=st.booleans(),
@@ -419,6 +436,49 @@ def test_cluster_separated_mixture_accuracy(tmp_path):
     rows = read_csv(tmp_path / "post.csv")
     accuracy = np.mean([row["correct"] == "True" for row in rows])
     assert accuracy >= 0.99
+
+
+def test_cluster_accuracy_ignores_the_model_component_order(tmp_path, capsys):
+    """Components are matched to label values before scoring, so listing the
+    model's components in the other order gives the same accuracy and the
+    same correct column."""
+    mix = L.MixtureSpec(
+        components=(scalar_params(0.9, d=1.0), scalar_params(-0.9, d=-1.0)),
+        weights=[0.4, 0.6],
+    )
+    swapped = L.MixtureSpec(components=mix.components[::-1], weights=mix.weights[::-1])
+    ds_path = tmp_path / "ds.jsonl"
+    save_dataset(ds_path, L.sample_mixture_dataset(mix, 300, 18, L.NoiseConfig(seed=31)))
+    results = []
+    for name, model in (("model", mix), ("swapped", swapped)):
+        save_mixture(tmp_path / f"{name}.json", model)
+        capsys.readouterr()
+        assert main(["cluster", "--model", str(tmp_path / f"{name}.json"), "--data", str(ds_path),
+                     "--out", str(tmp_path / name)]) == 0
+        accuracy = [ln for ln in capsys.readouterr().out.splitlines() if "clustering accuracy" in ln]
+        rows = read_csv(tmp_path / f"{name}.csv")
+        results.append((accuracy, [row["correct"] for row in rows]))
+    assert results[0] == results[1]
+    assert results[0][0] == ["clustering accuracy: 1.0000"]
+
+
+def test_seed_and_tol_only_where_read(tmp_path, capsys):
+    """--seed belongs to generate, learn and sweep; no mode takes --tol.  The
+    same key in a config file is a usage error (exit 2)."""
+    model = tmp_path / "model.json"
+    save_mixture(model, L.MixtureSpec(components=(scalar_params(0.5),), weights=[1.0]))
+    for argv in (["evaluate", "--truth", str(model), "--learned", str(model), "--s", "1"],
+                 ["cluster", "--model", str(model), "--data", "x"],
+                 ["validate", "--model", str(model), "--s", "1"],
+                 ["learn", "--data", "x"]):
+        flag = ["--tol", "1.0"] if argv[0] == "learn" else ["--seed", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[0][2:]: 1}))
+        assert main(argv + ["--out", str(tmp_path / "out"), "--config", str(cfg)]) == 2
+        assert "unknown key" in capsys.readouterr().err
 
 
 def test_sweep_errors_decrease_on_average(tmp_path):

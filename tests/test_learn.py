@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import ldslab as L
 import oracles
@@ -37,20 +40,30 @@ def test_single_component_exact_recovery():
     assert np.linalg.norm(gtilde[0] - g, "fro") <= 1e-8
 
 
-def test_two_component_exact_recovery_with_matching():
-    rng = np.random.default_rng(3)
-    mix = L.random_mixture(2, (2, 2, 2), rng, min_gamma=0.5, s=2)
-    flat, _ = exact_inputs(mix, 2)
-    gtilde, details = L.learn_markov_components(flat, 2, np.random.default_rng(4))
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), m=st.integers(1, 2),
+       p=st.integers(1, 2), s=st.integers(1, 2))
+@example(seed=3, k=2, m=2, p=2, s=2)
+def test_two_component_exact_recovery_with_matching(seed, k, m, p, s):
+    """On exact moments the flattened tensor sum_i w_i v(G_i)^(x)3 is symmetric
+    with mode-1 rank <= k, and learn_markov_components returns w_i^(1/3) G_i
+    up to a permutation, with a residual at rounding level."""
+    mix = L.random_mixture(k, (m, 2, p), np.random.default_rng(seed), min_gamma=0.5, s=s)
+    flat, _ = exact_inputs(mix, s)
+    t, q = flat.data, flat.q
+    scale = np.linalg.norm(t)
+    for axes in itertools.permutations(range(3)):
+        assert np.linalg.norm(t - t.transpose(axes)) <= 1e-12 * scale
+    sv = np.linalg.svd(t.reshape(q, q * q), compute_uv=False)
+    assert np.all(sv[k:] <= 1e-10 * sv[0])
+
+    gtilde, details = L.learn_markov_components(flat, k, np.random.default_rng(seed + 1))
     truths = [
-        w ** (1.0 / 3.0) * L.markov_matrix(c, 4)
+        w ** (1.0 / 3.0) * L.markov_matrix(c, 2 * s)
         for w, c in zip(mix.weights, mix.components)
     ]
-    # match by distance, then both must be accurate
-    errs = []
-    for t in truths:
-        errs.append(min(np.linalg.norm(t - g, "fro") for g in gtilde))
-    assert max(errs) <= 1e-6
+    cost = np.array([[np.linalg.norm(truth - g, "fro") for g in gtilde] for truth in truths])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-6
     assert details["tensor_residual"] <= 1e-8 * details["tensor_norm"]
 
 

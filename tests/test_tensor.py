@@ -22,8 +22,14 @@ def random_factors(q, r, rng, smin=0.1, tries=200):
     raise RuntimeError("factor sampling failed")
 
 
-def matched_component_error(true_terms, components):
-    est = [L.rank_one_tensor(c) for c in components]
+def terms(factors):
+    """The rank-one tensor of each column of three factor matrices."""
+    f1, f2, f3 = factors
+    return [np.einsum("i,j,k->ijk", f1[:, i], f2[:, i], f3[:, i]) for i in range(f1.shape[1])]
+
+
+def matched_component_error(true_terms, factors):
+    est = terms(factors)
     cost = np.array([[np.linalg.norm(t - e) for e in est] for t in true_terms])
     rows, cols = linear_sum_assignment(cost)
     return cost[rows, cols].max()
@@ -61,25 +67,26 @@ def test_contract_mode3_rank_bounded():
 
 def test_single_spike():
     t = basis_cube(2, 0)
-    comps = L.jennrich_decompose(t, 1, np.random.default_rng(3))
-    assert len(comps) == 1
-    assert np.linalg.norm(L.rank_one_tensor(comps[0]) - t) <= 1e-10
+    factors, residual = L.jennrich_decompose(t, 1, np.random.default_rng(3))
+    assert [f.shape for f in factors] == [(2, 1)] * 3
+    assert np.linalg.norm(L.reconstruct(*factors) - t) <= 1e-10
+    assert residual <= 1e-10
 
 
 def test_two_spikes_with_weights():
     t = basis_cube(3, 0, 2.0) + basis_cube(3, 1, 3.0)
-    comps = L.jennrich_decompose(t, 2, np.random.default_rng(4))
+    factors, _ = L.jennrich_decompose(t, 2, np.random.default_rng(4))
     truth = [basis_cube(3, 0, 2.0), basis_cube(3, 1, 3.0)]
-    assert matched_component_error(truth, comps) <= 1e-8
+    assert matched_component_error(truth, factors) <= 1e-8
 
 
 def test_two_spikes_perturbed():
     rng = np.random.default_rng(5)
     t = basis_cube(3, 0, 2.0) + basis_cube(3, 1, 3.0)
     noisy = t + rng.standard_normal(t.shape) * 1e-6
-    comps = L.jennrich_decompose(noisy, 2, np.random.default_rng(6))
+    factors, _ = L.jennrich_decompose(noisy, 2, np.random.default_rng(6))
     truth = [basis_cube(3, 0, 2.0), basis_cube(3, 1, 3.0)]
-    assert matched_component_error(truth, comps) <= 1e-4
+    assert matched_component_error(truth, factors) <= 1e-4
 
 
 def test_recovery_property_over_seeds():
@@ -98,10 +105,10 @@ def test_recovery_property_over_seeds():
             for i in range(r)
         ]
         try:
-            comps = L.jennrich_decompose(t, r, np.random.default_rng(8_000 + trial))
+            factors, _ = L.jennrich_decompose(t, r, np.random.default_rng(8_000 + trial))
         except (NumericalError, DataError):
             continue
-        if matched_component_error(truth, comps) <= 1e-6:
+        if matched_component_error(truth, factors) <= 1e-6:
             hits += 1
     assert hits >= 95, hits
 
@@ -110,12 +117,11 @@ def test_determinism_given_seed():
     rng = np.random.default_rng(9)
     x, y, z = (random_factors(5, 3, rng) for _ in range(3))
     t = np.einsum("ir,jr,kr->ijk", x, y, z)
-    c1 = L.jennrich_decompose(t, 3, np.random.default_rng(10))
-    c2 = L.jennrich_decompose(t, 3, np.random.default_rng(10))
-    for a, b in zip(c1, c2):
-        assert np.array_equal(a.f1, b.f1)
-        assert np.array_equal(a.f2, b.f2)
-        assert np.array_equal(a.f3, b.f3)
+    factors1, residual1 = L.jennrich_decompose(t, 3, np.random.default_rng(10))
+    factors2, residual2 = L.jennrich_decompose(t, 3, np.random.default_rng(10))
+    for a, b in zip(factors1, factors2):
+        assert np.array_equal(a, b)
+    assert residual1 == residual2
 
 
 def test_residual_non_increasing_in_rank():
@@ -129,9 +135,9 @@ def test_residual_non_increasing_in_rank():
     residuals = []
     for r in (1, 2, 3, 4):
         t_r = np.einsum("ir,jr,kr,r->ijk", x[:, :r], y[:, :r], z[:, :r], sig[:r])
-        comps = L.jennrich_decompose(t_r, r, np.random.default_rng(12))
-        assert np.linalg.norm(t_r - L.reconstruct(comps)) <= 1e-9
-        residuals.append(np.linalg.norm(full - L.reconstruct(comps)))
+        factors, _ = L.jennrich_decompose(t_r, r, np.random.default_rng(12))
+        assert np.linalg.norm(t_r - L.reconstruct(*factors)) <= 1e-9
+        residuals.append(np.linalg.norm(full - L.reconstruct(*factors)))
     assert all(residuals[i + 1] <= residuals[i] + 1e-9 for i in range(3))
     assert residuals[-1] <= 1e-9
 
@@ -140,16 +146,16 @@ def test_least_squares_exact_residual():
     rng = np.random.default_rng(13)
     x, y, z = (random_factors(5, 2, rng) for _ in range(3))
     t = np.einsum("ir,jr,kr->ijk", x, y, z)
-    comps = L.jennrich_decompose(t, 2, np.random.default_rng(14))
-    assert np.linalg.norm(t - L.reconstruct(comps)) <= 1e-10
+    factors, residual = L.jennrich_decompose(t, 2, np.random.default_rng(14))
+    assert residual == float(np.linalg.norm(t - L.reconstruct(*factors)))
+    assert residual <= 1e-10
 
 
 # ---------- reconstruction helpers ----------
 
 def test_reconstruct_indicator():
     e = np.eye(3)
-    comp = L.RankOneComponent(f1=e[0], f2=e[1], f3=e[2])
-    t = L.reconstruct([comp])
+    t = L.reconstruct(e[:, [0]], e[:, [1]], e[:, [2]])
     expect = np.zeros((3, 3, 3))
     expect[0, 1, 2] = 1.0
     assert np.array_equal(t, expect)
@@ -169,6 +175,6 @@ def test_rank_bounds_rejected():
 
 def test_pairing_failure_carries_eigenvalues():
     with pytest.raises(EigenPairingError) as err:
-        _pair_reciprocal(np.array([2.0, 3.0]), np.array([5.0, 7.0]), 0.1)
+        _pair_reciprocal(np.array([2.0, 3.0]), np.array([5.0, 7.0]))
     assert len(err.value.left) == 2 and len(err.value.right) == 2
     assert len(err.value.unmatched) >= 1
