@@ -7,6 +7,8 @@ with identical inputs reproduces its output files byte for byte.
 ``cluster`` scores at the model file's ``noise_scale``, which ``generate``
 writes into the truth echo.
 
+Argparse checks every option, and ``--config`` keys are parsed as the
+flags they name, so a bad option from either source is a usage error.
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
 failure.  On a structured error the last stderr line is machine
 parseable::
@@ -53,55 +55,78 @@ def _fail(kind: str, code: int, message: str) -> int:
     return code
 
 
-def _apply_config_file(args: argparse.Namespace, actions: dict) -> None:
-    """Values from --config override the individual flags.
+class _Parser(argparse.ArgumentParser):
+    """Reports every parse error as a UsageError (exit 2, structured line)."""
 
-    Each value goes through its flag's ``type``, as the text it would have
-    on the command line (a JSON list as comma-separated items); a
-    ``store_true`` flag takes a JSON bool.  ``actions`` maps each option's
-    dest to its argparse action.
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _at_least(low: int):
+    """Flag type: an integer >= ``low``."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"needs an integer >= {low}, got {text!r}")
+        return value
+    return convert
+
+
+_COUNT, _SEED = _at_least(1), _at_least(0)
+
+
+def _grid(text: str) -> list:
+    """--n-grid: comma-separated sample counts, sorted without repeats."""
+    counts = sorted({_COUNT(item) for item in text.split(",") if item})
+    if not counts:
+        raise argparse.ArgumentTypeError("must list at least one sample count")
+    return counts
+
+
+def _config_flags(argv: list, modes: dict):
+    """The --config file of ``argv`` as ``--flag=value`` tokens, and the
+    values it gives the mode's store_true flags.
+
+    A key is a long flag name of the mode (underscored or dashed); a list
+    value becomes its comma-separated items.  A store_true flag takes a
+    JSON bool, set after parsing so that ``false`` overrides the flag on
+    the command line.
     """
-    if not getattr(args, "config", None):
-        return
+    pre = _Parser(add_help=False)
+    pre.add_argument("mode", nargs="?")
+    pre.add_argument("--config")
+    found = pre.parse_known_args(argv)[0]
+    if found.config is None or found.mode not in modes:
+        return [], {}
+    path = found.config
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise UsageError(f"config {args.config} must hold a JSON object")
+        raise UsageError(f"config {path} must hold a JSON object")
+    actions = {a.dest: a for a in modes[found.mode]._actions if a.dest != "help"}
+    tokens, switches = [], {}
     for key, value in raw.items():
-        attr = key.replace("-", "_")
-        if attr == "mode":
+        dest = key.replace("-", "_")
+        if dest == "mode":
             continue  # the subcommand fixes the mode
-        action = actions.get(attr) if hasattr(args, attr) else None
-        if action is None:
-            raise UsageError(f"config {args.config}: unknown key {key!r}")
-        if action.nargs == 0:  # store_true
+        if dest not in actions:
+            raise UsageError(f"config {path}: unknown key {key!r}")
+        if actions[dest].nargs == 0:  # store_true
             if not isinstance(value, bool):
-                raise UsageError(f"config {args.config}: {key!r} needs true or false, got {value!r}")
+                raise UsageError(f"config {path}: {key!r} needs true or false, got {value!r}")
+            switches[dest] = value
         elif value is None or isinstance(value, (bool, dict)):
-            raise UsageError(f"config {args.config}: {key!r} needs a string, number or list")
+            raise UsageError(f"config {path}: {key!r} needs a string, number or list")
         else:
             text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-            try:
-                value = text if action.type is None else action.type(text)
-            except ValueError as exc:
-                raise UsageError(f"config {args.config}: bad value {value!r} for {key!r}") from exc
-        setattr(args, attr, value)
-
-
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"missing required option --{name.replace('_', '-')}")
-
-
-def _positive(args, *names) -> None:
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None and value <= 0:
-            raise UsageError(f"--{name.replace('_', '-')} must be positive, got {value}")
+            tokens.append(f"{actions[dest].option_strings[0]}={text}")
+    return tokens, switches
 
 
 def _manifest(args, stage_times: dict, diagnostics: dict, outputs: dict) -> dict:
@@ -124,8 +149,9 @@ def _manifest(args, stage_times: dict, diagnostics: dict, outputs: dict) -> dict
 def _load_truth_or_random(args):
     if args.model:
         return load_mixture(args.model)
-    _require(args, "k", "m", "n", "p")
-    _positive(args, "k", "m", "n", "p")
+    missing = [f"--{name}" for name in "kmnp" if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"generate without --model needs {' '.join(missing)}")
     rng = np.random.default_rng(args.seed)
     return random_mixture(
         args.k, (args.m, args.n, args.p), rng, min_gamma=args.min_gamma, s=args.s
@@ -140,8 +166,6 @@ def _with_noise_scale(args, mix):
 
 
 def cmd_generate(args) -> int:
-    _require(args, "out", "truth_out", "n_traj", "length")
-    _positive(args, "n_traj", "length")
     times = {}
     t0 = time.perf_counter()
     mix = _with_noise_scale(args, _load_truth_or_random(args))
@@ -161,7 +185,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _learn_from_file(args):
+def cmd_learn(args) -> int:
     times = {}
     t0 = time.perf_counter()
     dataset = load_dataset(args.data)
@@ -170,13 +194,6 @@ def _learn_from_file(args):
     rng = np.random.default_rng(args.seed)
     learned = learn_mixture(dataset, args.k, args.n, args.s, rng)
     times["learn"] = time.perf_counter() - t0
-    return learned, times
-
-
-def cmd_learn(args) -> int:
-    _require(args, "data", "out", "k", "n", "s")
-    _positive(args, "k", "n", "s")
-    learned, times = _learn_from_file(args)
     t0 = time.perf_counter()
     save_mixture(args.out, learned)
     times["write"] = time.perf_counter() - t0
@@ -191,36 +208,17 @@ def cmd_learn(args) -> int:
     return 0
 
 
-def _evaluate_report(truth, learned, s: int):
-    report = align_similarity(truth, learned, s)
-    header = [
-        "component", "truth_index", "a_err", "b_err", "c_err", "d_err",
-        "w_err", "cond_u", "flagged",
-    ]
-    rows = [
-        [
-            j,
-            report.permutation[j],
-            report.a_err[j],
-            report.b_err[j],
-            report.c_err[j],
-            report.d_err[j],
-            report.w_err[j],
-            report.cond[j],
-            bool(report.flagged[j]),
-        ]
-        for j in range(len(report.permutation))
-    ]
-    return report, header, rows
-
-
 def cmd_evaluate(args) -> int:
-    _require(args, "truth", "learned", "s", "out")
-    _positive(args, "s")
     truth = load_mixture(args.truth)
     learned = load_mixture(args.learned)
-    report, header, rows = _evaluate_report(truth, learned, args.s)
-    save_report(args.out, header, rows)
+    report = align_similarity(truth, learned, args.s)
+    save_report(args.out, {
+        "component": np.arange(len(report.permutation)),
+        "truth_index": report.permutation,
+        **{f"{x}_err": getattr(report, f"{x}_err") for x in "abcdw"},
+        "cond_u": report.cond,
+        "flagged": report.flagged,
+    })
     print(f"permutation (estimate -> truth): {list(report.permutation)}")
     print(
         f"max aligned parameter error: {report.max_param_error:.6g}; "
@@ -244,33 +242,21 @@ def _matched_correct(argmax: np.ndarray, labels: np.ndarray, k: int) -> np.ndarr
 
 
 def cmd_cluster(args) -> int:
-    _require(args, "model", "data", "out")
     model = load_mixture(args.model)
     dataset = load_dataset(args.data)
-    posteriors = cluster_dataset(model, dataset)
-    k = model.k
+    probs = np.array([post.probabilities for post in cluster_dataset(model, dataset)])
+    argmax = probs.argmax(axis=1)
     labels = dataset.labels
-    have_labels = labels is not None
-    header = ["index"]
-    if have_labels:
-        header.append("label")
-        correct = _matched_correct(np.array([post.argmax for post in posteriors]), labels, k)
-    header += [f"p_{i}" for i in range(k)] + ["argmax"]
-    if have_labels:
-        header.append("correct")
-    rows = []
-    for idx, post in enumerate(posteriors):
-        row = [idx]
-        if have_labels:
-            row.append(int(labels[idx]))
-        row += [float(p) for p in post.probabilities]
-        row.append(post.argmax)
-        if have_labels:
-            row.append(bool(correct[idx]))
-        rows.append(row)
-    save_report(args.out, header, rows)
-    if have_labels:
-        print(f"clustering accuracy: {correct.mean():.4f}")
+    columns = {"index": np.arange(len(probs))}
+    if labels is not None:
+        columns["label"] = labels
+    columns.update({f"p_{i}": probs[:, i] for i in range(model.k)})
+    columns["argmax"] = argmax
+    if labels is not None:
+        columns["correct"] = _matched_correct(argmax, labels, model.k)
+    save_report(args.out, columns)
+    if labels is not None:
+        print(f"clustering accuracy: {columns['correct'].mean():.4f}")
     else:
         print("dataset is unlabelled; accuracy omitted")
     print(f"posteriors written to {args.out}.csv and {args.out}.json")
@@ -278,8 +264,6 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _require(args, "model", "s", "kappa", "w_min", "gamma")
-    _positive(args, "s")
     mix = load_mixture(args.model)
     report = well_behaved_report(mix, args.s, args.kappa, args.w_min, args.gamma)
     for name, passed in report.checks.items():
@@ -289,68 +273,44 @@ def cmd_validate(args) -> int:
     print(f"ctrl ratios: {np.array2string(report.ctrl_ratio, precision=4)}")
     print(f"overall: {'PASS' if report.ok else 'FAIL'}")
     if args.out:
-        payload = {
-            "kappa_bound": report.kappa_bound,
-            "gamma": report.gamma,
-            "w_min": report.w_min,
-            "obs_ratio": report.obs_ratio,
-            "ctrl_ratio": report.ctrl_ratio,
-            "checks": report.checks,
-            "measured": report.measured,
-            "diagnostics": report.diagnostics,
-            "ok": report.ok,
-        }
+        payload = {**dataclasses.asdict(report), "ok": report.ok}
         atomic_write_text(args.out, dumps_json(payload, indent=2) + "\n")
         print(f"report written to {args.out}")
     return 0 if report.ok or not args.strict else 4
 
 
 def cmd_sweep(args) -> int:
-    _require(args, "truth", "out", "k", "n", "s", "length")
-    _positive(args, "k", "n", "s", "length")
-    if not args.n_grid:
-        raise UsageError("--n-grid must list at least one sample count")
-    grid = sorted(set(args.n_grid))
-    if any(n <= 0 for n in grid):
-        raise UsageError("--n-grid entries must be positive")
     need = min_trajectory_length(args.s)
     if args.length < need:
         raise UsageError(f"--length: {too_short_message(args.length, need)}")
     truth = _with_noise_scale(args, load_mixture(args.truth))
-    header = [
-        "n_traj", "a_err_max", "b_err_max", "c_err_max", "d_err_max",
-        "max_param_error", "weight_error_max", "wall_time_s",
-    ]
-    rows = []
-    for n_traj in grid:
+    reports, walls = [], []
+    for n_traj in args.n_grid:
         t0 = time.perf_counter()
         dataset = sample_mixture_dataset(truth, n_traj, args.length, NoiseConfig(seed=args.seed))
         rng = np.random.default_rng(args.seed)
         learned = learn_mixture(dataset, args.k, args.n, args.s, rng)
         report = align_similarity(truth, learned, args.s)
-        wall = time.perf_counter() - t0
-        rows.append([
-            n_traj,
-            float(report.a_err.max()),
-            float(report.b_err.max()),
-            float(report.c_err.max()),
-            float(report.d_err.max()),
-            report.max_param_error,
-            report.max_weight_error,
-            wall,
-        ])
+        walls.append(time.perf_counter() - t0)
+        reports.append(report)
         print(
             f"N={n_traj}: max param err {report.max_param_error:.6g}, "
-            f"weight err {report.max_weight_error:.6g} ({wall:.1f}s)"
+            f"weight err {report.max_weight_error:.6g} ({walls[-1]:.1f}s)"
         )
-    save_report(args.out, header, rows)
+    save_report(args.out, {
+        "n_traj": args.n_grid,
+        **{f"{x}_err_max": [getattr(r, f"{x}_err").max() for r in reports] for x in "abcd"},
+        "max_param_error": [r.max_param_error for r in reports],
+        "weight_error_max": [r.max_weight_error for r in reports],
+        "wall_time_s": walls,
+    })
     print(f"sweep written to {args.out}.csv and {args.out}.json")
     return 0
 
 
 def _build_parser():
     """The parser, and the parser of each mode by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ldslab",
         description="Simulate and learn mixtures of linear dynamical systems.",
     )
@@ -362,55 +322,55 @@ def _build_parser():
 
     p = sub.add_parser("generate", help="sample a dataset from a mixture")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--model", help="mixture JSON to sample from (else random)")
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--s", type=int, default=2, help="horizon for the gamma check")
+    p.add_argument("--k", type=_COUNT)
+    p.add_argument("--m", type=_COUNT)
+    p.add_argument("--n", type=_COUNT)
+    p.add_argument("--p", type=_COUNT)
+    p.add_argument("--s", type=_COUNT, default=2, help="horizon for the gamma check")
     p.add_argument("--min-gamma", type=float, default=0.0)
-    p.add_argument("--n-traj", type=int)
-    p.add_argument("--length", type=int)
+    p.add_argument("--n-traj", type=_COUNT, required=True)
+    p.add_argument("--length", type=_COUNT, required=True)
     p.add_argument("--noise-scale", type=float, help="default: the model's noise_scale")
-    p.add_argument("--out", help="dataset JSONL path")
-    p.add_argument("--truth-out", help="ground-truth mixture JSON path")
+    p.add_argument("--out", required=True, help="dataset JSONL path")
+    p.add_argument("--truth-out", required=True, help="ground-truth mixture JSON path")
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("learn", help="learn a mixture from a dataset")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--data", help="dataset JSONL path")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--out", help="learned model JSON path")
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--data", required=True, help="dataset JSONL path")
+    p.add_argument("--k", type=_COUNT, required=True)
+    p.add_argument("--n", type=_COUNT, required=True)
+    p.add_argument("--s", type=_COUNT, required=True)
+    p.add_argument("--out", required=True, help="learned model JSON path")
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("evaluate", help="similarity-aligned errors vs a truth model")
     common(p)
-    p.add_argument("--truth")
-    p.add_argument("--learned")
-    p.add_argument("--s", type=int)
-    p.add_argument("--out", help="report base path (.csv/.json appended)")
+    p.add_argument("--truth", required=True)
+    p.add_argument("--learned", required=True)
+    p.add_argument("--s", type=_COUNT, required=True)
+    p.add_argument("--out", required=True, help="report base path (.csv/.json appended)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("cluster", help="posterior component probabilities per trajectory")
     common(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--out", help="report base path (.csv/.json appended)")
+    p.add_argument("--model", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True, help="report base path (.csv/.json appended)")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("validate", help="check the learnability assumptions")
     common(p)
-    p.add_argument("--model")
-    p.add_argument("--s", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--w-min", type=float)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--model", required=True)
+    p.add_argument("--s", type=_COUNT, required=True)
+    p.add_argument("--kappa", type=float, required=True)
+    p.add_argument("--w-min", type=float, required=True)
+    p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--out", help="JSON report path")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when a check fails")
@@ -418,25 +378,26 @@ def _build_parser():
 
     p = sub.add_parser("sweep", help="error-vs-N sweep against a truth model")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--truth")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--length", type=int)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--truth", required=True)
+    p.add_argument("--k", type=_COUNT, required=True)
+    p.add_argument("--n", type=_COUNT, required=True)
+    p.add_argument("--s", type=_COUNT, required=True)
+    p.add_argument("--length", type=_COUNT, required=True)
     p.add_argument("--noise-scale", type=float, help="default: the model's noise_scale")
-    p.add_argument("--n-grid", type=lambda v: [int(x) for x in v.split(",") if x],
-                   help="comma-separated sample counts")
-    p.add_argument("--out", help="report base path (.csv/.json appended)")
+    p.add_argument("--n-grid", type=_grid, required=True, help="comma-separated sample counts")
+    p.add_argument("--out", required=True, help="report base path (.csv/.json appended)")
     p.set_defaults(func=cmd_sweep)
     return parser, sub.choices
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, modes = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, {a.dest: a for a in modes[args.mode]._actions})
+        tokens, switches = _config_flags(argv, modes)
+        args = parser.parse_args(argv + tokens)
+        vars(args).update(switches)
         return args.func(args)
     except UsageError as exc:
         return _fail("usage", 2, exc)

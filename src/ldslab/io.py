@@ -3,7 +3,10 @@
 All writes are atomic (temp file in the target directory, then rename).
 Floating-point values are emitted with 17 significant digits, which
 round-trips IEEE doubles exactly, so re-reading a file reproduces the
-in-memory objects bit for bit.
+in-memory objects bit for bit.  JSON has no infinity or NaN: a report or
+manifest writes a non-finite value as ``null`` in JSON and as ``inf``,
+``-inf`` or ``nan`` in CSV.  Model and dataset files never hold one,
+because their types reject non-finite entries.
 
 Model/mixture file (UTF-8 JSON)::
 
@@ -55,12 +58,6 @@ def _parse_int(text: str):
 _DECODER = json.JSONDecoder(parse_int=_parse_int)
 
 
-def _format_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise DataError(f"cannot serialize non-finite value {x!r}")
-    return format(float(x), ".17g")
-
-
 def dumps_json(obj, indent: int = 0, _level: int = 0) -> str:
     """JSON text with floats at 17 significant digits.
 
@@ -88,7 +85,7 @@ def dumps_json(obj, indent: int = 0, _level: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(obj)
+        return format(float(obj), ".17g") if np.isfinite(obj) else "null"
     if isinstance(obj, str):
         return json.dumps(obj)
     raise DataError(f"cannot serialize object of type {type(obj)!r}")
@@ -220,18 +217,17 @@ def load_dataset(path: str) -> Dataset:
         raise DataError(f"dataset file {path}: {exc}") from exc
 
 
-def save_report(path_base: str, header, rows) -> None:
-    """Write a CSV and its JSON mirror (path_base + '.csv' / '.json')."""
-    header = list(header)
-    csv_lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, (float, np.floating)):
-                cells.append(_format_float(value))
-            else:
-                cells.append(str(value))
-        csv_lines.append(",".join(cells))
+def save_report(path_base: str, columns: dict) -> None:
+    """Write a CSV and its JSON mirror (path_base + '.csv' / '.json').
+
+    ``columns`` maps each header, in order, to a column; every column has
+    one entry per row.
+    """
+    rows = list(zip(*(np.asarray(column).tolist() for column in columns.values())))
+    csv_lines = [",".join(columns)] + [
+        ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
     atomic_write_text(path_base + ".csv", "\n".join(csv_lines) + "\n")
-    mirror = [dict(zip(header, row)) for row in rows]
+    mirror = [dict(zip(columns, row)) for row in rows]
     atomic_write_text(path_base + ".json", dumps_json(mirror, indent=2) + "\n")

@@ -378,11 +378,12 @@ def joint_nondegeneracy_gamma(mix: MixtureSpec, s: int) -> float:
     Markov matrices G_{i,s} has Frobenius norm >= gamma.
 
     Equals the smallest singular value of the matrix whose k columns are
-    the flattened G_{i,s}, since ||sum_i c_i G_i||_F = ||K c||_2.
+    the flattened G_{i,s}, since ||sum_i c_i G_i||_F = ||K c||_2; it is 0
+    when k exceeds the entries of G_{i,s}, as the columns are then dependent.
     """
     cols = [markov_matrix(comp, s).ravel() for comp in mix.components]
-    k_mat = np.column_stack(cols)
-    return float(np.linalg.svd(k_mat, compute_uv=False)[-1])
+    sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+    return float(sv[-1]) if len(sv) == mix.k else 0.0
 
 
 def _rank(mat: np.ndarray) -> int:

@@ -359,6 +359,19 @@ def test_config_values_go_through_the_flag_types(tmp_path, capsys):
                  "--w-min", "0.1", "--gamma", "0", "--config", str(cfg)]) == 2
     assert "'strict' needs true or false" in capsys.readouterr().err
 
+    # required flags may come from the config alone
+    cfg.write_text(json.dumps({"model": str(tmp_path / "t.json"), "s": 1, "kappa": 10,
+                               "w_min": 0.1, "gamma": 1e9}))
+    assert main(["validate", "--strict", "--config", str(cfg)]) == 4  # gamma fails
+    # a config false switches off --strict given on the command line
+    cfg.write_text(json.dumps({"model": str(tmp_path / "t.json"), "s": 1, "kappa": 10,
+                               "w_min": 0.1, "gamma": 1e9, "strict": False}))
+    assert main(["validate", "--strict", "--config", str(cfg)]) == 0
+    # a key must name a flag exactly: no abbreviation of --n-traj
+    capsys.readouterr()
+    assert generate({"n_tr": 5, "length": 7}) == 2
+    assert "unknown key 'n_tr'" in capsys.readouterr().err
+
 
 def test_exit_codes(tmp_path):
     # missing file -> data error 3
@@ -403,6 +416,31 @@ def test_evaluate_reports_injected_perturbation(tmp_path):
     d_errs = sorted(float(r["d_err"]) for r in rows)
     assert d_errs[0] <= 1e-8
     assert d_errs[1] == pytest.approx(np.linalg.norm(delta, "fro"), abs=1e-8)
+
+
+def test_reports_write_infinite_values(tmp_path, capsys):
+    """A component with C = 0 has an infinite observability ratio and an
+    infinite transform condition number.  validate --out and evaluate still
+    write their reports: the JSON holds null (strict JSON), the CSV inf."""
+    def strict_json(path):
+        return json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(c))
+
+    good, zero_c = scalar_params(0.5, d=1.0), scalar_params(0.5, c=0.0, d=1.0)
+    truth, learned = tmp_path / "truth.json", tmp_path / "zero_c.json"
+    save_mixture(truth, L.MixtureSpec(components=(good, scalar_params(-0.5, d=-1.0)),
+                                      weights=[0.5, 0.5]))
+    save_mixture(learned, L.MixtureSpec(components=(zero_c, scalar_params(-0.5, d=-1.0)),
+                                        weights=[0.5, 0.5]))
+    assert main(["validate", "--model", str(learned), "--s", "2", "--kappa", "10",
+                 "--w-min", "0.1", "--gamma", "0.1", "--out", str(tmp_path / "v.json")]) == 0
+    assert "FAIL observability" in capsys.readouterr().out
+    assert strict_json(tmp_path / "v.json")["obs_ratio"][0] is None
+
+    assert main(["evaluate", "--truth", str(truth), "--learned", str(learned),
+                 "--s", "2", "--out", str(tmp_path / "eval")]) == 0
+    rows = read_csv(tmp_path / "eval.csv")
+    assert rows[0]["cond_u"] == "inf" and rows[0]["flagged"] == "True"
+    assert strict_json(tmp_path / "eval.json")[0]["cond_u"] is None
 
 
 def test_evaluate_reports_component_swap(tmp_path):
@@ -464,21 +502,57 @@ def test_cluster_accuracy_ignores_the_model_component_order(tmp_path, capsys):
 
 def test_seed_and_tol_only_where_read(tmp_path, capsys):
     """--seed belongs to generate, learn and sweep; no mode takes --tol.  The
-    same key in a config file is a usage error (exit 2)."""
+    flag on the command line and the same key in a config file are usage
+    errors (exit 2) with the structured error line."""
     model = tmp_path / "model.json"
     save_mixture(model, L.MixtureSpec(components=(scalar_params(0.5),), weights=[1.0]))
+    out = ["--out", str(tmp_path / "out")]
     for argv in (["evaluate", "--truth", str(model), "--learned", str(model), "--s", "1"],
                  ["cluster", "--model", str(model), "--data", "x"],
-                 ["validate", "--model", str(model), "--s", "1"],
-                 ["learn", "--data", "x"]):
+                 ["validate", "--model", str(model), "--s", "1", "--kappa", "10",
+                  "--w-min", "0.1", "--gamma", "0"],
+                 ["learn", "--data", "x", "--k", "1", "--n", "1", "--s", "2"]):
         flag = ["--tol", "1.0"] if argv[0] == "learn" else ["--seed", "1"]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + flag)
-        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv + out + flag) == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("LDSLAB_ERROR code=2 kind=usage") and flag[0] in last
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({flag[0][2:]: 1}))
-        assert main(argv + ["--out", str(tmp_path / "out"), "--config", str(cfg)]) == 2
+        assert main(argv + out + ["--config", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, change", [
+    pytest.param("learn", ["--k", "abc"], id="bad-type"),
+    pytest.param("learn", ["--bogus", "1"], id="unknown-flag"),
+    pytest.param("learn", ["--out", None], id="missing-flag"),
+    pytest.param("generate", ["--length", "0"], id="zero-length"),
+    pytest.param("generate", ["--seed", "-1"], id="negative-seed-generate"),
+    pytest.param("learn", ["--seed", "-1"], id="negative-seed-learn"),
+    pytest.param("sweep", ["--seed", "-1"], id="negative-seed-sweep"),
+    pytest.param("sweep", ["--n-grid", "5,0"], id="zero-grid-entry"),
+])
+def test_every_usage_error_ends_in_the_structured_line(tmp_path, capsys, mode, change):
+    """A bad type, an unknown flag, a missing required flag or an out-of-range
+    count returns 2 with the structured line last on stderr, instead of
+    argparse's SystemExit or an exception from numpy."""
+    truth = tmp_path / "truth.json"
+    save_mixture(truth, L.MixtureSpec(components=(scalar_params(0.5, d=1.0),), weights=[1.0]))
+    flags = {
+        "generate": {"--model": truth, "--n-traj": 5, "--length": 18,
+                     "--out": tmp_path / "ds.jsonl", "--truth-out": tmp_path / "t.json"},
+        "learn": {"--data": tmp_path / "ds.jsonl", "--k": 1, "--n": 1, "--s": 2,
+                  "--out": tmp_path / "m.json"},
+        "sweep": {"--truth": truth, "--k": 1, "--n": 1, "--s": 2, "--length": 18,
+                  "--n-grid": 100, "--out": tmp_path / "sweep"},
+    }[mode]
+    flags[change[0]] = change[1]
+    argv = [mode] + [str(x) for flag, value in flags.items() if value is not None
+                     for x in (flag, value)]
+    assert main(argv) == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("LDSLAB_ERROR code=2 kind=usage message=")
 
 
 def test_sweep_errors_decrease_on_average(tmp_path):

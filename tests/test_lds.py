@@ -302,6 +302,22 @@ def test_gamma_orthogonal_components():
     assert np.isclose(L.joint_nondegeneracy_gamma(mix, 1), 1.0)
 
 
+def test_gamma_zero_when_k_exceeds_the_markov_entries():
+    """At s=1 with m=n=p=1 each G_i = [D, CB] has 2 entries, so 3 components
+    are linearly dependent: gamma is 0, random_mixture cannot reach a
+    positive min_gamma, and validate fails joint non-degeneracy."""
+    mix = L.MixtureSpec(
+        components=tuple(scalar_params(a, d=d) for a, d in ((0.5, 1.0), (0.2, -1.0), (-0.4, 0.3))),
+        weights=[0.3, 0.3, 0.4],
+    )
+    assert L.joint_nondegeneracy_gamma(mix, 1) == 0.0
+    assert L.joint_nondegeneracy_gamma(mix, 2) > 0.5  # [D, CB, CAB]: 3 entries, independent
+    report = L.well_behaved_report(mix, 1, kappa=10.0, w_min=0.1, gamma=0.01)
+    assert not report.checks["joint_nondegeneracy"]
+    with pytest.raises(DataError, match="joint non-degeneracy"):
+        L.random_mixture(3, (1, 1, 1), np.random.default_rng(4), min_gamma=0.5, s=1)
+
+
 def test_gamma_permutation_invariance_and_combination_bound():
     rng = np.random.default_rng(17)
     mix = L.random_mixture(3, (2, 2, 2), rng)

@@ -46,7 +46,12 @@ def test_single_component_exact_recovery():
 def test_two_component_exact_recovery_with_matching(seed, k, m, p, s):
     """On exact moments the flattened tensor sum_i w_i v(G_i)^(x)3 is symmetric
     with mode-1 rank <= k, and learn_markov_components returns w_i^(1/3) G_i
-    up to a permutation, with a residual at rounding level."""
+    up to a permutation, with a residual at rounding level.  When k exceeds
+    the (s+1)mp entries of G_{i,s}, gamma is 0 and no such mixture exists."""
+    if k > (s + 1) * m * p:
+        with pytest.raises(DataError, match="joint non-degeneracy"):
+            L.random_mixture(k, (m, 2, p), np.random.default_rng(seed), min_gamma=0.5, s=s)
+        return
     mix = L.random_mixture(k, (m, 2, p), np.random.default_rng(seed), min_gamma=0.5, s=s)
     flat, _ = exact_inputs(mix, s)
     t, q = flat.data, flat.q
