@@ -78,6 +78,17 @@ def _at_least(low: int):
 _COUNT, _SEED = _at_least(1), _at_least(0)
 
 
+def _nonnegative(text: str) -> float:
+    """Flag type: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"needs a finite number >= 0, got {text!r}")
+    return value
+
+
 def _grid(text: str) -> list:
     """--n-grid: comma-separated sample counts, sorted without repeats."""
     counts = sorted({_COUNT(item) for item in text.split(",") if item})
@@ -329,10 +340,10 @@ def _build_parser():
     p.add_argument("--n", type=_COUNT)
     p.add_argument("--p", type=_COUNT)
     p.add_argument("--s", type=_COUNT, default=2, help="horizon for the gamma check")
-    p.add_argument("--min-gamma", type=float, default=0.0)
+    p.add_argument("--min-gamma", type=_nonnegative, default=0.0)
     p.add_argument("--n-traj", type=_COUNT, required=True)
     p.add_argument("--length", type=_COUNT, required=True)
-    p.add_argument("--noise-scale", type=float, help="default: the model's noise_scale")
+    p.add_argument("--noise-scale", type=_nonnegative, help="default: the model's noise_scale")
     p.add_argument("--out", required=True, help="dataset JSONL path")
     p.add_argument("--truth-out", required=True, help="ground-truth mixture JSON path")
     p.add_argument("--manifest")
@@ -368,9 +379,9 @@ def _build_parser():
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--s", type=_COUNT, required=True)
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--w-min", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--kappa", type=_nonnegative, required=True)
+    p.add_argument("--w-min", type=_nonnegative, required=True)
+    p.add_argument("--gamma", type=_nonnegative, required=True)
     p.add_argument("--out", help="JSON report path")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when a check fails")
@@ -384,7 +395,7 @@ def _build_parser():
     p.add_argument("--n", type=_COUNT, required=True)
     p.add_argument("--s", type=_COUNT, required=True)
     p.add_argument("--length", type=_COUNT, required=True)
-    p.add_argument("--noise-scale", type=float, help="default: the model's noise_scale")
+    p.add_argument("--noise-scale", type=_nonnegative, help="default: the model's noise_scale")
     p.add_argument("--n-grid", type=_grid, required=True, help="comma-separated sample counts")
     p.add_argument("--out", required=True, help="report base path (.csv/.json appended)")
     p.set_defaults(func=cmd_sweep)

@@ -171,8 +171,11 @@ def learn_mixture(dataset, k: int, n: int, s: int, rng: np.random.Generator) -> 
 
     Its trajectories must have length >= min_trajectory_length(s) = 6s+3;
     the estimators use indices up to 6s+2.  The result is a
-    :class:`LearnedMixture`, usable wherever a MixtureSpec is.
+    :class:`LearnedMixture`, usable wherever a MixtureSpec is.  Ho-Kalman
+    needs s >= 1, which is checked before the moment pass.
     """
+    if s < 1:
+        raise DataError("s must be >= 1")
     flat = assemble_pi(MomentTensor6.estimate(dataset, s))
     rhat = CrossCovarianceStack.estimate(dataset, s)
     return learn_mixture_from_moments(flat, rhat, k, n, s, rng)

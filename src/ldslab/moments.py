@@ -17,11 +17,12 @@ Every factor of the sixth moment is a pair y[i+d] (x) u[i] with
 0 <= i <= 4s+2 and 0 <= d <= 2s, so the grid estimator first builds the
 pair slab
 
-    pair[i, b, d*(m*p) + row*p + col] = y[b, i+d, row] * u[b, i, col]
+    pair[i, d*(m*p) + row*p + col, b] = y[b, i+d, row] * u[b, i, col]
 
-of shape (4s+3, B, (2s+1)*m*p) for a chunk of B trajectories.  The three
-factors of block (k1, k2, k3) are pair[0] at d = k1, pair[k1+1] at d = k2
-and pair[k1+k2+2] at d = k3, so one GEMM per (k1, k2) covers every k3.
+of shape (4s+3, (2s+1)*m*p, B) for a chunk of B trajectories, which lie
+on the last, contiguous axis.  The three factors of block (k1, k2, k3)
+are pair[0] at d = k1, pair[k1+1] at d = k2 and pair[k1+k2+2] at d = k3,
+so one GEMM per (k1, k2) covers every k3.
 
 Flattening convention, fixed everywhere: a Markov matrix block X_k maps
 to vector indices k*(m*p) + row*p + col.
@@ -50,14 +51,23 @@ __all__ = [
 
 # Trajectories are reduced chunk-by-chunk in fixed order.  The chunk
 # bounds the length of any single accumulation run regardless of dataset
-# size, and the memory of the pair slab: 8 * _CHUNK * (4s+3) * q bytes.
+# size, and the working memory of the sixth-moment sums: the pair slab,
+# the y and u buffers and one outer product take
+# 8 * _CHUNK * ((4s+3)q + (6s+3)m + (4s+3)p + (mp)^2) bytes.
 _CHUNK = 8192
+
+
+def _horizon(s: int) -> int:
+    """``s``, once it is a valid estimator horizon (s >= 0)."""
+    if s < 0:
+        raise DataError(f"s must be >= 0, got {s}")
+    return s
 
 
 def min_trajectory_length(s: int) -> int:
     """Shortest trajectory the order-s estimators accept; the sixth-moment
     grid reads indices up to 6s+2."""
-    return 6 * s + 3
+    return 6 * _horizon(s) + 3
 
 
 def too_short_message(length: int, need: int) -> str:
@@ -91,7 +101,7 @@ class CrossCovarianceStack:
 
     @classmethod
     def estimate(cls, dataset, s: int) -> "CrossCovarianceStack":
-        u, y = _arrays(dataset, 2 * s + 1)
+        u, y = _arrays(dataset, 2 * _horizon(s) + 1)
         blocks = tuple(
             np.einsum("bm,bp->bmp", y[:, k1], u[:, 0]).sum(axis=0) / len(u)
             for k1 in range(2 * s + 1)
@@ -104,18 +114,6 @@ class CrossCovarianceStack:
         return cls(blocks=blocks, assembled=np.hstack(blocks), s=s)
 
 
-def _accumulate_sixth(acc, pair, mp):
-    """acc[k1, k2] += pair[k1+k2+2].T @ (pair[k1+1] at d=k2 (x) pair[0] at d=k1)."""
-    g = acc.shape[0]
-    bsz = pair.shape[1]
-    for k1 in range(g):
-        o1 = pair[0, :, k1 * mp:(k1 + 1) * mp]
-        for k2 in range(g):
-            o2 = pair[k1 + 1, :, k2 * mp:(k2 + 1) * mp]
-            inner = (o2[:, :, None] * o1[:, None, :]).reshape(bsz, mp * mp)
-            acc[k1, k2] += pair[k1 + k2 + 2].T @ inner
-
-
 def _sixth_moment_sums(u, y, s):
     """Sums over trajectories of the six-fold products on the whole grid: a
     (g, g, g*mp, mp*mp) array indexed [k1, k2, (k3, y3, u3), (y2, u2, y1, u1)]
@@ -123,19 +121,31 @@ def _sixth_moment_sums(u, y, s):
     n, _, m = y.shape
     p = u.shape[2]
     mp, g, width = m * p, 2 * s + 1, 4 * s + 3
+    batch = min(n, _CHUNK)
     sums = np.zeros((g, g, g * mp, mp * mp))
-    slab = np.empty((width, min(n, _CHUNK), g, m, p))
+    ybuf = np.empty((6 * s + 3, m, batch))
+    ubuf = np.empty((width, p, batch))
+    slab = np.empty((width, g, m, p, batch))
+    outer = np.empty((mp, mp, batch))
+    prod = np.empty((g * mp, mp * mp))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        # windows[b, i, row, d] = y[b, i+d, row]
-        windows = sliding_window_view(y[lo:hi], g, axis=1)[:, :width]
-        np.multiply(
-            windows.transpose(1, 0, 3, 2)[..., None],
-            u[lo:hi, :width].transpose(1, 0, 2)[:, :, None, None, :],
-            out=slab[:, : hi - lo],
-        )
-        pair = slab[:, : hi - lo].reshape(width, hi - lo, g * mp)
-        _accumulate_sixth(sums, pair, mp)
+        bsz = hi - lo
+        yb, ub = ybuf[..., :bsz], ubuf[..., :bsz]
+        np.copyto(yb, y[lo:hi, : 6 * s + 3].transpose(1, 2, 0))
+        np.copyto(ub, u[lo:hi, :width].transpose(1, 2, 0))
+        # windows[i, d, row, b] = y[b, i+d, row]
+        windows = sliding_window_view(yb, g, axis=0).transpose(0, 3, 1, 2)
+        np.multiply(windows[:, :, :, None], ub[:, None, None], out=slab[..., :bsz])
+        pair = slab[..., :bsz].reshape(width, g * mp, bsz)
+        block = outer[..., :bsz]
+        for k1 in range(g):
+            o1 = pair[0, k1 * mp:(k1 + 1) * mp]
+            for k2 in range(g):
+                o2 = pair[k1 + 1, k2 * mp:(k2 + 1) * mp]
+                np.multiply(o2[:, None], o1[None], out=block)
+                np.matmul(pair[k1 + k2 + 2], block.reshape(mp * mp, bsz).T, out=prod)
+                sums[k1, k2] += prod
     return sums
 
 

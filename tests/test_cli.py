@@ -349,7 +349,9 @@ def test_config_values_go_through_the_flag_types(tmp_path, capsys):
     assert load_mixture(tmp_path / "t.json").noise_scale == 0.5
     assert json.loads((tmp_path / "manifest.json").read_text())["config"]["n_traj"] == 5
     for bad in ({"n_traj": "five", "length": 7}, {"n_traj": 5.5, "length": 7},
-                {"n_traj": True, "length": 7}, {"n_traj": None, "length": 7}):
+                {"n_traj": True, "length": 7}, {"n_traj": None, "length": 7},
+                {"n_traj": 5, "length": 7, "noise_scale": -1},
+                {"n_traj": 5, "length": 7, "min_gamma": "nan"}):
         capsys.readouterr()
         assert generate(bad) == 2, bad
         assert "LDSLAB_ERROR code=2 kind=usage" in capsys.readouterr().err
@@ -532,11 +534,21 @@ def test_seed_and_tol_only_where_read(tmp_path, capsys):
     pytest.param("learn", ["--seed", "-1"], id="negative-seed-learn"),
     pytest.param("sweep", ["--seed", "-1"], id="negative-seed-sweep"),
     pytest.param("sweep", ["--n-grid", "5,0"], id="zero-grid-entry"),
+    pytest.param("generate", ["--noise-scale", "-1"], id="negative-noise-scale-generate"),
+    pytest.param("generate", ["--noise-scale", "nan"], id="nan-noise-scale"),
+    pytest.param("generate", ["--noise-scale", "inf"], id="infinite-noise-scale"),
+    pytest.param("generate", ["--min-gamma", "nan"], id="nan-min-gamma"),
+    pytest.param("generate", ["--min-gamma", "-0.5"], id="negative-min-gamma"),
+    pytest.param("sweep", ["--noise-scale", "-1"], id="negative-noise-scale-sweep"),
+    pytest.param("validate", ["--kappa", "nan"], id="nan-kappa"),
+    pytest.param("validate", ["--w-min", "-0.1"], id="negative-w-min"),
+    pytest.param("validate", ["--gamma", "inf"], id="infinite-gamma"),
 ])
 def test_every_usage_error_ends_in_the_structured_line(tmp_path, capsys, mode, change):
     """A bad type, an unknown flag, a missing required flag or an out-of-range
     count returns 2 with the structured line last on stderr, instead of
-    argparse's SystemExit or an exception from numpy."""
+    argparse's SystemExit or an exception from numpy.  A float flag takes
+    only a finite number >= 0."""
     truth = tmp_path / "truth.json"
     save_mixture(truth, L.MixtureSpec(components=(scalar_params(0.5, d=1.0),), weights=[1.0]))
     flags = {
@@ -546,6 +558,8 @@ def test_every_usage_error_ends_in_the_structured_line(tmp_path, capsys, mode, c
                   "--out": tmp_path / "m.json"},
         "sweep": {"--truth": truth, "--k": 1, "--n": 1, "--s": 2, "--length": 18,
                   "--n-grid": 100, "--out": tmp_path / "sweep"},
+        "validate": {"--model": truth, "--s": 2, "--kappa": 10, "--w-min": 0.1,
+                     "--gamma": 0, "--out": tmp_path / "report.json"},
     }[mode]
     flags[change[0]] = change[1]
     argv = [mode] + [str(x) for flag, value in flags.items() if value is not None

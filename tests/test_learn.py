@@ -230,6 +230,21 @@ def test_learn_mixture_input_validation():
         L.learn_mixture(short, 1, 1, 2, np.random.default_rng(0))
 
 
+def test_learn_mixture_checks_the_horizon_before_the_moment_pass(monkeypatch):
+    """s < 1 is a DataError raised before any moment is summed; s = -1 used
+    to fail in numpy and s = 0 only after the whole moment pass."""
+    mix = L.MixtureSpec(components=(scalar_params(0.5),), weights=[1.0])
+    ds = L.sample_mixture_dataset(mix, 10, 18, L.NoiseConfig(seed=1))
+
+    def no_moment_pass(*args):
+        raise AssertionError("the moment pass ran")
+
+    monkeypatch.setattr(L.moments, "_sixth_moment_sums", no_moment_pass)
+    for s in (0, -1):
+        with pytest.raises(DataError, match="s must be >= 1"):
+            L.learn_mixture(ds, 1, 1, s, np.random.default_rng(0))
+
+
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), data=st.data())
 def test_permutation_equivariance_on_exact_moments(seed, k, data):
     """Listing the components in another order permutes the learned mixture

@@ -88,6 +88,42 @@ def test_sixth_moment_too_short_names_minimum():
         MomentTensor6.estimate(ds, 1)
 
 
+def test_negative_horizon_is_a_data_error():
+    ds = L.Dataset(u=np.zeros((2, 9, 1)), y=np.zeros((2, 9, 1)))
+    with pytest.raises(DataError, match="s must be >= 0"):
+        moments.min_trajectory_length(-1)
+    with pytest.raises(DataError, match="s must be >= 0"):
+        MomentTensor6.estimate(ds, -1)
+    with pytest.raises(DataError, match="s must be >= 0"):
+        L.CrossCovarianceStack.estimate(ds, -1)
+
+
+def test_sixth_moment_of_a_strided_view_equals_a_contiguous_copy():
+    """A stepped Dataset slice is a strided, read-only view of the parent's
+    arrays; the kernel gives it the same bits as a contiguous copy."""
+    rng = np.random.default_rng(8)
+    ds = L.Dataset(u=rng.standard_normal((41, 10, 2)), y=rng.standard_normal((41, 10, 3)))
+    view = ds[::2]
+    assert not view.u.flags.c_contiguous and not view.u.flags.writeable
+    copy = L.Dataset(u=np.ascontiguousarray(view.u), y=np.ascontiguousarray(view.y))
+    assert np.array_equal(MomentTensor6.estimate(view, 1).blocks,
+                          MomentTensor6.estimate(copy, 1).blocks)
+
+
+def test_sixth_moment_across_the_real_chunk_boundary():
+    """N = _CHUNK + 3 at the module's own chunk: the last chunk uses the
+    first 3 columns of every buffer sized for a full chunk."""
+    rng = np.random.default_rng(9)
+    n_traj, s = moments._CHUNK + 3, 1
+    ds = L.Dataset(u=rng.standard_normal((n_traj, 9, 2)), y=rng.standard_normal((n_traj, 9, 2)))
+    grid = MomentTensor6.estimate(ds, s)
+    absolute = L.Dataset(u=np.abs(ds.u), y=np.abs(ds.y))
+    for k1, k2, k3 in itertools.product(range(2 * s + 1), repeat=3):
+        mean = oracles.estimate_sixth_moment_block(ds, k1, k2, k3)
+        summands = oracles.estimate_sixth_moment_block(absolute, k1, k2, k3)
+        assert np.all(np.abs(grid.block(k1, k2, k3) - mean) <= 1e-12 * summands)
+
+
 def test_exact_sixth_moment_feedthrough_cube():
     mix = scalar_mixture(0.0, d=2.0)
     assert np.allclose(L.exact_sixth_moment_block(mix, 0, 0, 0).ravel(), [8.0])
