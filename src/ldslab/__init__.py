@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .cluster import (
     PosteriorReport,
     cluster_dataset,
-    cluster_posterior,
     component_log_likelihood,
     kalman_log_likelihood,
     log_likelihoods,
@@ -30,7 +29,6 @@ from .lds import (
     draw_lds_noise,
     joint_nondegeneracy_gamma,
     markov_matrix,
-    markov_parameter,
     observability_matrix,
     random_lds,
     random_mixture,
@@ -41,7 +39,6 @@ from .learn import (
     AlignmentReport,
     LearnedMixture,
     align_similarity,
-    finalize_components,
     learn_markov_components,
     learn_mixture,
     learn_mixture_from_moments,
@@ -52,8 +49,6 @@ from .moments import (
     FlatTensor3,
     MomentTensor6,
     assemble_pi,
-    exact_cross_covariance,
-    exact_sixth_moment_block,
     min_trajectory_length,
     symmetrize_tensor3,
     unflatten_markov,

@@ -23,7 +23,6 @@ __all__ = [
     "log_likelihoods",
     "component_log_likelihood",
     "kalman_log_likelihood",
-    "cluster_posterior",
     "cluster_dataset",
 ]
 
@@ -132,8 +131,3 @@ def cluster_dataset(model: MixtureSpec, dataset: Dataset) -> list:
     probs /= probs.sum(axis=1, keepdims=True)
     return [PosteriorReport(probabilities=pr, log_likelihoods=ll)
             for pr, ll in zip(probs, logliks)]
-
-
-def cluster_posterior(model: MixtureSpec, traj: Trajectory) -> PosteriorReport:
-    """:func:`cluster_dataset` of one trajectory."""
-    return cluster_dataset(model, Dataset(u=traj.u[None], y=traj.y[None]))[0]

@@ -38,7 +38,6 @@ __all__ = [
     "sample_mixture_dataset",
     "observability_matrix",
     "controllability_matrix",
-    "markov_parameter",
     "markov_matrix",
     "joint_nondegeneracy_gamma",
     "well_behaved_report",
@@ -48,6 +47,11 @@ __all__ = [
 
 # Relative singular-value threshold used for all rank decisions.
 RANK_RTOL = 1e-10
+# random_lds: spectral radius of A, and spectral norm of B and of C.
+SPECTRAL_RADIUS = 0.6
+GAIN = 1.5
+# random_mixture: draws made before giving up on min_gamma.
+MAX_TRIES = 200
 
 
 def _freeze(arr, dtype=float) -> np.ndarray:
@@ -213,19 +217,6 @@ class Dataset:
         for name, arr in (("u", u), ("y", y), ("labels", labels)):
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_trajectories(cls, trajectories) -> "Dataset":
-        """Stack trajectories of one length and one (p, m).  Labels are kept
-        when all are labelled and dropped when none is; a mix raises."""
-        trajs = list(trajectories)
-        if len({(t.u.shape, t.y.shape) for t in trajs}) > 1:
-            raise DataError("trajectories of a dataset must share one length and one (p, m)")
-        labels = [t.label for t in trajs]
-        if None in labels and labels.count(None) < len(labels):
-            raise DataError("labels must be given for every trajectory or for none")
-        return cls(u=np.array([t.u for t in trajs]), y=np.array([t.y for t in trajs]),
-                   labels=None if None in labels else labels)
-
     @property
     def length(self) -> int:
         return self.u.shape[1]
@@ -248,7 +239,7 @@ class Dataset:
 def require_dataset(obj) -> Dataset:
     if not isinstance(obj, Dataset):
         raise DataError(f"expected a Dataset, got {type(obj).__name__}; "
-                        "build one with Dataset.from_trajectories")
+                        "build one from arrays u (N, l, p) and y (N, l, m)")
     return obj
 
 
@@ -351,14 +342,6 @@ def controllability_matrix(params: LdsParams, s: int) -> np.ndarray:
         cols.append(block)
         block = params.a @ block
     return np.hstack(cols)
-
-
-def markov_parameter(params: LdsParams, j: int) -> np.ndarray:
-    """The j-th impulse-response block: D for j=0, else C A^(j-1) B; block j
-    of :func:`markov_matrix`."""
-    if j < 0:
-        raise DataError("j must be >= 0")
-    return markov_matrix(params, j)[:, j * params.p :]
 
 
 def markov_matrix(params: LdsParams, big_t: int) -> np.ndarray:
@@ -502,25 +485,20 @@ def well_behaved_report(
     )
 
 
-def random_lds(
-    dims,
-    rng: np.random.Generator,
-    spectral_radius: float = 0.6,
-    gain: float = 1.5,
-) -> LdsParams:
-    """Draw a random system with spectral radius <= ``spectral_radius``
-    and ||B||, ||C|| scaled to ``gain`` (>= 1 keeps the mixture
-    assumptions satisfiable).
+def random_lds(dims, rng: np.random.Generator) -> LdsParams:
+    """Draw a random system with spectral radius <= SPECTRAL_RADIUS and
+    ||B||, ||C|| scaled to GAIN (>= 1 keeps the mixture assumptions
+    satisfiable).
     """
     m, n, p = dims
     a = rng.standard_normal((n, n))
     rho = max(np.abs(np.linalg.eigvals(a)))
     if rho > 0:
-        a *= spectral_radius / rho
+        a *= SPECTRAL_RADIUS / rho
     b = rng.standard_normal((n, p))
-    b *= gain / _spectral_norm(b)
+    b *= GAIN / _spectral_norm(b)
     c = rng.standard_normal((m, n))
-    c *= gain / _spectral_norm(c)
+    c *= GAIN / _spectral_norm(c)
     d = rng.standard_normal((m, p))
     return LdsParams(a=a, b=b, c=c, d=d)
 
@@ -532,24 +510,28 @@ def random_mixture(
     weights: Optional[Sequence[float]] = None,
     min_gamma: float = 0.0,
     s: int = 2,
-    spectral_radius: float = 0.6,
-    max_tries: int = 200,
 ) -> MixtureSpec:
-    """Draw a random mixture, resampling until gamma at parameter s
-    reaches ``min_gamma``."""
+    """Draw a random mixture, resampling up to MAX_TRIES times until gamma
+    at parameter s reaches ``min_gamma``.  Gamma is 0 when k exceeds the
+    (s+1)mp entries of G_{i,s}, so a positive ``min_gamma`` then raises at
+    once."""
+    m, _, p = dims
+    if min_gamma > 0 and k > (s + 1) * m * p:
+        raise DataError(
+            f"k={k} components cannot reach joint non-degeneracy gamma >= {min_gamma}: "
+            f"G_(i,s) has only (s+1)mp = {(s + 1) * m * p} entries, so gamma is 0"
+        )
     if weights is None:
         w = rng.uniform(0.5, 1.5, size=k)
         w /= w.sum()
     else:
         w = np.asarray(weights, dtype=float)
-    for _ in range(max_tries):
-        comps = tuple(
-            random_lds(dims, rng, spectral_radius=spectral_radius) for _ in range(k)
-        )
+    for _ in range(MAX_TRIES):
+        comps = tuple(random_lds(dims, rng) for _ in range(k))
         mix = MixtureSpec(components=comps, weights=w)
         if joint_nondegeneracy_gamma(mix, s) >= min_gamma:
             return mix
     raise DataError(
         f"could not reach joint non-degeneracy gamma >= {min_gamma} "
-        f"in {max_tries} draws"
+        f"in {MAX_TRIES} draws"
     )

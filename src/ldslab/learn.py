@@ -21,7 +21,13 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, NumericalError
 from .hokalman import ho_kalman
-from .lds import MixtureSpec, markov_matrix, observability_matrix, require_mixture
+from .lds import (
+    MixtureSpec,
+    markov_matrix,
+    observability_matrix,
+    require_dataset,
+    require_mixture,
+)
 from .moments import (
     CrossCovarianceStack,
     FlatTensor3,
@@ -37,7 +43,6 @@ __all__ = [
     "AlignmentReport",
     "learn_markov_components",
     "recover_weights",
-    "finalize_components",
     "learn_mixture",
     "learn_mixture_from_moments",
     "align_similarity",
@@ -114,22 +119,6 @@ def recover_weights(gtilde, rhat: CrossCovarianceStack):
     return wtilde, info
 
 
-def finalize_components(gtilde, wtilde):
-    """Undo the mixing-weight scaling: Ghat_i = Gtilde_i / sqrt(wtilde_i),
-    weights wtilde_i^(3/2) renormalized onto the simplex.
-
-    Returns (weights, ghat, raw_weights) where raw_weights are the
-    pre-normalization values.
-    """
-    wtilde = np.asarray(wtilde, dtype=float)
-    if np.any(wtilde <= 0):
-        raise DataError("wtilde must be positive (clamp upstream)")
-    ghat = [np.asarray(g) / np.sqrt(wt) for g, wt in zip(gtilde, wtilde)]
-    raw = wtilde**1.5
-    weights = raw / raw.sum()
-    return weights, ghat, raw
-
-
 @dataclass(frozen=True, eq=False)  # identity equality: fields are arrays
 class LearnedMixture(MixtureSpec):
     """A learned mixture (unit noise) and the ``diagnostics`` of the run
@@ -154,8 +143,11 @@ def learn_mixture_from_moments(
     )
     gtilde, details = learn_markov_components(flat, k, rng)
     wtilde, winfo = recover_weights(gtilde, rhat)
-    weights, ghat, raw = finalize_components(gtilde, wtilde)
-    components = tuple(ho_kalman(g, s, n) for g in ghat)
+    # Undo the weight scaling: Ghat_i = Gtilde_i / sqrt(wtilde_i), and the
+    # weights wtilde_i^(3/2) renormalized; recover_weights floors wtilde > 0.
+    raw = wtilde**1.5
+    weights = raw / raw.sum()
+    components = tuple(ho_kalman(g / np.sqrt(wt), s, n) for g, wt in zip(gtilde, wtilde))
     diagnostics = {
         **details,
         "regression_residual": winfo["regression_residual"],
@@ -171,11 +163,20 @@ def learn_mixture(dataset, k: int, n: int, s: int, rng: np.random.Generator) -> 
 
     Its trajectories must have length >= min_trajectory_length(s) = 6s+3;
     the estimators use indices up to 6s+2.  The result is a
-    :class:`LearnedMixture`, usable wherever a MixtureSpec is.  Ho-Kalman
-    needs s >= 1, which is checked before the moment pass.
+    :class:`LearnedMixture`, usable wherever a MixtureSpec is.  The ranges
+    of s, k and n are checked before the moment pass: Ho-Kalman needs s >= 1
+    and 1 <= n <= s min(m, p), and the decomposition 1 <= k <= q = (2s+1)mp.
     """
     if s < 1:
         raise DataError("s must be >= 1")
+    m, p = require_dataset(dataset).y.shape[2], dataset.u.shape[2]
+    q = (2 * s + 1) * m * p
+    if k < 1:
+        raise DataError("rank r must be >= 1")
+    if k > q:
+        raise DataError(f"rank r={k} exceeds tensor dimension q={q}")
+    if n < 1 or n > min(m * s, p * s):
+        raise DataError(f"state dimension n={n} out of range for ms={m*s}, ps={p*s}")
     flat = assemble_pi(MomentTensor6.estimate(dataset, s))
     rhat = CrossCovarianceStack.estimate(dataset, s)
     return learn_mixture_from_moments(flat, rhat, k, n, s, rng)
@@ -231,6 +232,8 @@ def align_similarity(truth: MixtureSpec, learned: MixtureSpec, s: int) -> Alignm
         raise DataError(
             f"component counts differ: {len(comp_true)} vs {len(comp_est)}"
         )
+    if truth.dims != learned.dims:
+        raise DataError(f"dims (m, n, p) differ: {truth.dims} vs {learned.dims}")
     k = len(comp_true)
     g_true = [markov_matrix(c, 2 * s) for c in comp_true]
     g_est = [markov_matrix(c, 2 * s) for c in comp_est]

@@ -35,14 +35,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DimensionError
-from .lds import MixtureSpec, markov_parameter, require_dataset
+from .lds import require_dataset
 
 __all__ = [
     "CrossCovarianceStack",
     "MomentTensor6",
     "FlatTensor3",
-    "exact_cross_covariance",
-    "exact_sixth_moment_block",
     "assemble_pi",
     "symmetrize_tensor3",
     "unflatten_markov",
@@ -82,15 +80,6 @@ def _arrays(dataset, min_length: int):
     return dataset.u, dataset.y
 
 
-def exact_cross_covariance(mix: MixtureSpec, k1: int) -> np.ndarray:
-    """sum_i w_i X_{i,k1}; the population value of Rhat[k1]."""
-    m, _, p = mix.dims
-    out = np.zeros((m, p))
-    for w, comp in zip(mix.weights, mix.components):
-        out += w * markov_parameter(comp, k1)
-    return out
-
-
 @dataclass(frozen=True)
 class CrossCovarianceStack:
     """Blocks Rhat[0..2s] side by side: assembled is m-by-(2s+1)p."""
@@ -106,11 +95,6 @@ class CrossCovarianceStack:
             np.einsum("bm,bp->bmp", y[:, k1], u[:, 0]).sum(axis=0) / len(u)
             for k1 in range(2 * s + 1)
         )
-        return cls(blocks=blocks, assembled=np.hstack(blocks), s=s)
-
-    @classmethod
-    def exact(cls, mix: MixtureSpec, s: int) -> "CrossCovarianceStack":
-        blocks = tuple(exact_cross_covariance(mix, k1) for k1 in range(2 * s + 1))
         return cls(blocks=blocks, assembled=np.hstack(blocks), s=s)
 
 
@@ -153,18 +137,6 @@ def _block_shape(m, p):
     return (m, p, m, p, m, p)
 
 
-def exact_sixth_moment_block(mix: MixtureSpec, k1: int, k2: int, k3: int) -> np.ndarray:
-    """sum_j w_j X_{j,k3} (x) X_{j,k2} (x) X_{j,k1}, shape (m,p,m,p,m,p)."""
-    m, _, p = mix.dims
-    out = np.zeros(_block_shape(m, p))
-    for w, comp in zip(mix.weights, mix.components):
-        x1 = markov_parameter(comp, k1)
-        x2 = markov_parameter(comp, k2)
-        x3 = markov_parameter(comp, k3)
-        out += w * np.einsum("ab,cd,ef->abcdef", x3, x2, x1)
-    return out
-
-
 @dataclass(frozen=True)
 class MomentTensor6:
     """All (2s+1)^3 sixth-moment blocks on a complete grid:
@@ -202,16 +174,6 @@ class MomentTensor6:
         g = 2 * s + 1
         shape = (g, g, g) + _block_shape(y.shape[2], u.shape[2])
         blocks = (_sixth_moment_sums(u, y, s) / u.shape[0]).reshape(shape)
-        return cls(blocks=blocks, s=s)
-
-    @classmethod
-    def exact(cls, mix: MixtureSpec, s: int) -> "MomentTensor6":
-        """Population blocks computed from the mixture parameters."""
-        ks = range(2 * s + 1)
-        blocks = np.array([
-            [[exact_sixth_moment_block(mix, k1, k2, k3) for k3 in ks] for k2 in ks]
-            for k1 in ks
-        ])
         return cls(blocks=blocks, s=s)
 
 

@@ -16,6 +16,7 @@ whose fast path (:func:`substream_states`) reproduces the PCG64 state of
 """
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -56,8 +57,11 @@ def substream_states(seed: int, start: int, stop: int) -> list:
     so only the last step (``hashmix``, ``mix`` of bit_generator.pyx) runs per
     index, vectorized; then ``generate_state(4, uint64)`` and ``pcg64_set_seed``
     (pcg64.c): inc = 2 * initseq + 1, state = (inc + initstate) * MULT + inc.
-    Raises DataError unless 0 <= start <= stop <= 2**32.
+    Raises DataError unless the seed is an integer >= 0 (the CLI's ``--seed``
+    rule) and 0 <= start <= stop <= 2**32.
     """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DataError(f"seed needs an integer >= 0, got {seed!r}")
     seed = operator.index(seed)
     if not 0 <= start <= stop <= MAX_SUBSTREAMS:
         raise DataError(f"substream indices [{start}, {stop}) must lie in [0, {MAX_SUBSTREAMS}]")

@@ -2,9 +2,10 @@
 
 No library or CLI path calls these, so they live with the tests: a
 one-trajectory simulator, the unrolled closed form of the LDS recurrence,
-the power-norm bound, the Markov-matrix flattening, direct per-block
-moment estimators, the sixth-moment standard errors, the C = I change of basis and the dense
-joint-covariance likelihood.
+the power-norm bound, the Markov-matrix flattening, single Markov
+parameters, the exact population moments, direct per-block moment
+estimators, the sixth-moment standard errors, the C = I change of basis,
+the one-trajectory posterior and the dense joint-covariance likelihood.
 """
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -35,6 +36,57 @@ def flatten_markov(gmat, p):
     holds block k; the inverse of ``ldslab.unflatten_markov``."""
     m, width = gmat.shape
     return np.asarray(gmat, dtype=float).reshape(m, width // p, p).transpose(1, 0, 2).ravel()
+
+
+def markov_parameter(params, j):
+    """The j-th impulse-response block: D for j=0, else C A^(j-1) B; block j
+    of ``ldslab.markov_matrix``."""
+    if j < 0:
+        raise DataError("j must be >= 0")
+    return L.markov_matrix(params, j)[:, j * params.p :]
+
+
+def exact_cross_covariance(mix, k1):
+    """sum_i w_i X_{i,k1}; the population value of Rhat[k1]."""
+    m, _, p = mix.dims
+    out = np.zeros((m, p))
+    for w, comp in zip(mix.weights, mix.components):
+        out += w * markov_parameter(comp, k1)
+    return out
+
+
+def exact_cross_covariance_stack(mix, s):
+    """The population ``CrossCovarianceStack``: blocks k1 = 0..2s."""
+    blocks = tuple(exact_cross_covariance(mix, k1) for k1 in range(2 * s + 1))
+    return L.CrossCovarianceStack(blocks=blocks, assembled=np.hstack(blocks), s=s)
+
+
+def exact_sixth_moment_block(mix, k1, k2, k3):
+    """sum_j w_j X_{j,k3} (x) X_{j,k2} (x) X_{j,k1}, shape (m,p,m,p,m,p)."""
+    m, _, p = mix.dims
+    out = np.zeros((m, p, m, p, m, p))
+    for w, comp in zip(mix.weights, mix.components):
+        x1 = markov_parameter(comp, k1)
+        x2 = markov_parameter(comp, k2)
+        x3 = markov_parameter(comp, k3)
+        out += w * np.einsum("ab,cd,ef->abcdef", x3, x2, x1)
+    return out
+
+
+def exact_moment_tensor(mix, s):
+    """The population ``MomentTensor6``: every block of the (2s+1)^3 grid."""
+    ks = range(2 * s + 1)
+    blocks = np.array([
+        [[exact_sixth_moment_block(mix, k1, k2, k3) for k3 in ks] for k2 in ks]
+        for k1 in ks
+    ])
+    return L.MomentTensor6(blocks=blocks, s=s)
+
+
+def exact_moments(mix, s):
+    """(flattened sixth-moment tensor, cross-covariance stack) at population
+    values: the moment inputs of ``learn_mixture_from_moments``."""
+    return L.assemble_pi(exact_moment_tensor(mix, s)), exact_cross_covariance_stack(mix, s)
 
 
 def closed_form_observation(params, t, u, w, z, x0):
@@ -107,6 +159,11 @@ def normalize_fully_observed(params):
     t_inv = np.linalg.inv(params.c)
     return L.LdsParams(a=params.c @ params.a @ t_inv, b=params.c @ params.b,
                        c=np.eye(params.n), d=params.d)
+
+
+def cluster_posterior(model, traj):
+    """``ldslab.cluster_dataset`` of the one-trajectory Dataset of ``traj``."""
+    return L.cluster_dataset(model, L.Dataset(u=traj.u[None], y=traj.y[None]))[0]
 
 
 _LOG_2PI = float(np.log(2.0 * np.pi))

@@ -59,7 +59,7 @@ def test_criterion_2_moment_unbiasedness():
     rng = np.random.default_rng(seed)
     mix = L.random_mixture(2, (2, 2, 2), rng, min_gamma=0.3, s=2)
     assert L.well_behaved_report(mix, 2, kappa=10.0, w_min=0.2, gamma=0.3).ok
-    exact = L.MomentTensor6.exact(mix, 2)
+    exact = oracles.exact_moment_tensor(mix, 2)
 
     ds_large = L.sample_mixture_dataset(mix, 100_000, 18, L.NoiseConfig(seed=seed + 1))
     est_large = L.MomentTensor6.estimate(ds_large, 2)
@@ -182,8 +182,7 @@ def test_criterion_5_oracle_pipeline():
         rng = np.random.default_rng(80_000 + seed)
         k = int(rng.integers(1, 4))
         mix = L.random_mixture(k, (2, 2, 2), rng, min_gamma=0.3, s=2)
-        flat = L.assemble_pi(L.MomentTensor6.exact(mix, 2))
-        rhat = L.CrossCovarianceStack.exact(mix, 2)
+        flat, rhat = oracles.exact_moments(mix, 2)
         try:
             learned = L.learn_mixture_from_moments(
                 flat, rhat, k, 2, 2, np.random.default_rng(81_000 + seed)

@@ -67,7 +67,7 @@ def test_dataset_round_trip(tmp_path):
 def test_unlabelled_round_trip(tmp_path):
     traj = L.Trajectory(u=[[0.25], [1.0]], y=[[0.5], [-2.0]], label=None)
     path = tmp_path / "ds.jsonl"
-    save_dataset(path, L.Dataset.from_trajectories([traj]))
+    save_dataset(path, L.Dataset(u=traj.u[None], y=traj.y[None]))
     back = load_dataset(path)
     assert back[0].label is None
 
@@ -443,6 +443,22 @@ def test_reports_write_infinite_values(tmp_path, capsys):
     rows = read_csv(tmp_path / "eval.csv")
     assert rows[0]["cond_u"] == "inf" and rows[0]["flagged"] == "True"
     assert strict_json(tmp_path / "eval.json")[0]["cond_u"] is None
+
+
+def test_evaluate_rejects_a_model_of_other_dimensions(tmp_path, capsys, benchmark_mixture):
+    """A learned model whose n or m differs from the truth's cannot be aligned
+    to it: evaluate exits 3 with the structured line naming both dims, where
+    it used to end in a numpy traceback."""
+    truth = tmp_path / "truth.json"
+    save_mixture(truth, benchmark_mixture)  # (m, n, p) = (2, 2, 2)
+    for dims in ((2, 3, 2), (3, 2, 2)):
+        learned = tmp_path / "other.json"
+        save_mixture(learned, L.random_mixture(2, dims, np.random.default_rng(0)))
+        assert main(["evaluate", "--truth", str(truth), "--learned", str(learned),
+                     "--s", "2", "--out", str(tmp_path / "eval")]) == 3
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("LDSLAB_ERROR code=3 kind=data")
+        assert f"(2, 2, 2) vs {dims}" in last
 
 
 def test_evaluate_reports_component_swap(tmp_path):

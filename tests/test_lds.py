@@ -64,8 +64,6 @@ def test_dataset_views_share_the_arrays():
     head = ds[1:3]
     assert isinstance(head, L.Dataset) and np.shares_memory(head.u, ds.u)
     assert head.labels.tolist() == [1, 1] and [t.label for t in ds] == [0, 1, 1, 0, 2]
-    back = L.Dataset.from_trajectories(ds)
-    assert np.array_equal(back.u, ds.u) and np.array_equal(back.labels, ds.labels)
     assert L.Dataset(u=ds.u, y=ds.y)[0].label is None
     assert ds == ds and ds != ds[:] and len({ds, ds}) == 1  # identity equality
 
@@ -94,14 +92,6 @@ def test_dataset_checks():
     for kwargs in bad:
         with pytest.raises(DataError):
             L.Dataset(**kwargs)
-    short = L.Trajectory(u=np.zeros((2, 1)), y=np.zeros((2, 1)), label=0)
-    full = L.Trajectory(u=np.zeros((3, 1)), y=np.zeros((3, 1)), label=0)
-    with pytest.raises(DataError, match="one length"):
-        L.Dataset.from_trajectories([full, short])
-    with pytest.raises(DataError, match="every trajectory or for none"):
-        L.Dataset.from_trajectories([full, L.Trajectory(u=full.u, y=full.y)])
-    with pytest.raises(DataError):
-        L.Dataset.from_trajectories([])
 
 
 # ---------- simulation vs closed form ----------
@@ -260,9 +250,9 @@ def test_controllability_scalar_and_nilpotent():
 
 def test_markov_parameter_values():
     params = scalar_params(0.5, d=2.0)
-    assert np.allclose(L.markov_parameter(params, 0), [[2.0]])
-    assert np.allclose(L.markov_parameter(params, 1), [[1.0]])  # CB
-    assert np.allclose(L.markov_parameter(params, 2), [[0.5]])  # CAB
+    assert np.allclose(oracles.markov_parameter(params, 0), [[2.0]])
+    assert np.allclose(oracles.markov_parameter(params, 1), [[1.0]])  # CB
+    assert np.allclose(oracles.markov_parameter(params, 2), [[0.5]])  # CAB
 
 
 def test_markov_matrix_blocks():
@@ -274,7 +264,7 @@ def test_markov_matrix_blocks():
     g = L.markov_matrix(params, 4)
     assert g.shape == (2, 5 * 3)
     for j in range(5):
-        assert np.array_equal(g[:, 3 * j : 3 * (j + 1)], L.markov_parameter(params, j))
+        assert np.array_equal(g[:, 3 * j : 3 * (j + 1)], oracles.markov_parameter(params, j))
 
 
 # ---------- joint non-degeneracy ----------
@@ -316,6 +306,20 @@ def test_gamma_zero_when_k_exceeds_the_markov_entries():
     assert not report.checks["joint_nondegeneracy"]
     with pytest.raises(DataError, match="joint non-degeneracy"):
         L.random_mixture(3, (1, 1, 1), np.random.default_rng(4), min_gamma=0.5, s=1)
+
+
+def test_random_mixture_rejects_an_unreachable_gamma_before_drawing(monkeypatch):
+    """k > (s+1)mp makes gamma 0 by construction, so a positive min_gamma
+    raises before any system is drawn instead of after MAX_TRIES futile
+    draws; min_gamma = 0 still draws such a mixture."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a system was drawn")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(L.lds, "random_lds", no_draw)
+        with pytest.raises(DataError, match="joint non-degeneracy.*gamma is 0"):
+            L.random_mixture(5, (1, 1, 2), np.random.default_rng(0), min_gamma=0.1, s=1)
+    assert L.random_mixture(5, (1, 1, 2), np.random.default_rng(0), s=1).k == 5
 
 
 def test_gamma_permutation_invariance_and_combination_bound():

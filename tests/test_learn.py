@@ -9,17 +9,11 @@ from scipy.optimize import linear_sum_assignment
 import ldslab as L
 import oracles
 from ldslab.errors import DataError, NumericalError
-from ldslab.moments import FlatTensor3, MomentTensor6
+from ldslab.moments import FlatTensor3
 
 
 def scalar_params(a, b=1.0, c=1.0, d=0.0):
     return L.LdsParams(a=[[a]], b=[[b]], c=[[c]], d=[[d]])
-
-
-def exact_inputs(mix, s):
-    flat = L.assemble_pi(MomentTensor6.exact(mix, s))
-    rhat = L.CrossCovarianceStack.exact(mix, s)
-    return flat, rhat
 
 
 # ---------- Markov component recovery ----------
@@ -34,7 +28,7 @@ def test_scalar_s0_feedthrough():
 def test_single_component_exact_recovery():
     rng = np.random.default_rng(1)
     mix = L.MixtureSpec(components=(L.random_lds((2, 2, 2), rng),), weights=[1.0])
-    flat, _ = exact_inputs(mix, 2)
+    flat, _ = oracles.exact_moments(mix, 2)
     gtilde, _ = L.learn_markov_components(flat, 1, np.random.default_rng(2))
     g = L.markov_matrix(mix.components[0], 4)
     assert np.linalg.norm(gtilde[0] - g, "fro") <= 1e-8
@@ -53,7 +47,7 @@ def test_two_component_exact_recovery_with_matching(seed, k, m, p, s):
             L.random_mixture(k, (m, 2, p), np.random.default_rng(seed), min_gamma=0.5, s=s)
         return
     mix = L.random_mixture(k, (m, 2, p), np.random.default_rng(seed), min_gamma=0.5, s=s)
-    flat, _ = exact_inputs(mix, s)
+    flat, _ = oracles.exact_moments(mix, s)
     t, q = flat.data, flat.q
     scale = np.linalg.norm(t)
     for axes in itertools.permutations(range(3)):
@@ -84,7 +78,7 @@ def test_recover_weights_single_component():
     params = scalar_params(0.5, d=2.0)
     w = 1.0
     g = L.markov_matrix(params, 4)
-    rhat = L.CrossCovarianceStack.exact(
+    rhat = oracles.exact_cross_covariance_stack(
         L.MixtureSpec(components=(params,), weights=[1.0]), 2
     )
     wtilde, info = L.recover_weights([w ** (1.0 / 3.0) * g], rhat)
@@ -99,7 +93,7 @@ def test_recover_weights_two_components_exact():
         w ** (1.0 / 3.0) * L.markov_matrix(c, 4)
         for w, c in zip(mix.weights, mix.components)
     ]
-    rhat = L.CrossCovarianceStack.exact(mix, 2)
+    rhat = oracles.exact_cross_covariance_stack(mix, 2)
     wtilde, _ = L.recover_weights(gtilde, rhat)
     assert np.max(np.abs(wtilde - mix.weights ** (2.0 / 3.0))) <= 1e-10
 
@@ -130,38 +124,6 @@ def test_recover_weights_collinear_error():
         L.recover_weights([g, g.copy()], rhat)
 
 
-# ---------- finalize ----------
-
-def test_finalize_identity_weight():
-    g = np.array([[2.0, 1.0]])
-    weights, ghat, raw = L.finalize_components([g], [1.0])
-    assert np.allclose(weights, [1.0]) and np.allclose(raw, [1.0])
-    assert np.allclose(ghat[0], g)
-
-
-def test_finalize_power_law():
-    g = np.array([[2.0]])
-    weights, ghat, raw = L.finalize_components([g], [0.25])
-    assert raw[0] == pytest.approx(0.125)
-    assert weights[0] == pytest.approx(1.0)  # renormalized
-    assert np.allclose(ghat[0], g / 0.5)
-
-
-def test_finalize_exact_pipeline_recovers_weights():
-    rng = np.random.default_rng(6)
-    mix = L.random_mixture(2, (2, 2, 2), rng, weights=[0.4, 0.6], min_gamma=0.3, s=2)
-    gtilde = [
-        w ** (1.0 / 3.0) * L.markov_matrix(c, 4)
-        for w, c in zip(mix.weights, mix.components)
-    ]
-    rhat = L.CrossCovarianceStack.exact(mix, 2)
-    wtilde, _ = L.recover_weights(gtilde, rhat)
-    weights, ghat, _ = L.finalize_components(gtilde, wtilde)
-    order = np.argsort(weights)
-    assert np.max(np.abs(np.sort(weights) - np.sort(mix.weights))) <= 1e-10
-    assert weights.sum() == pytest.approx(1.0, abs=1e-15)
-
-
 # ---------- full pipeline ----------
 
 def test_oracle_pipeline_recovers_mixture():
@@ -170,7 +132,7 @@ def test_oracle_pipeline_recovers_mixture():
         rng = np.random.default_rng(100 + seed)
         k = int(rng.integers(1, 4))
         mix = L.random_mixture(k, (2, 2, 2), rng, min_gamma=0.3, s=2)
-        flat, rhat = exact_inputs(mix, 2)
+        flat, rhat = oracles.exact_moments(mix, 2)
         learned = L.learn_mixture_from_moments(
             flat, rhat, k, 2, 2, np.random.default_rng(200 + seed)
         )
@@ -193,12 +155,11 @@ def test_oracle_pipeline_asymmetric_dimensions():
             continue  # not realizable at this horizon
         k = int(rng.integers(1, 3))
         try:
-            mix = L.random_mixture(k, (m, n, p), rng, min_gamma=0.2, s=s, max_tries=50)
+            mix = L.random_mixture(k, (m, n, p), rng, min_gamma=0.2, s=s)
         except DataError:
             continue
         trials += 1
-        flat = L.assemble_pi(MomentTensor6.exact(mix, s))
-        rhat = L.CrossCovarianceStack.exact(mix, s)
+        flat, rhat = oracles.exact_moments(mix, s)
         try:
             learned = L.learn_mixture_from_moments(
                 flat, rhat, k, n, s, np.random.default_rng(400 + seed)
@@ -231,8 +192,9 @@ def test_learn_mixture_input_validation():
 
 
 def test_learn_mixture_checks_the_horizon_before_the_moment_pass(monkeypatch):
-    """s < 1 is a DataError raised before any moment is summed; s = -1 used
-    to fail in numpy and s = 0 only after the whole moment pass."""
+    """s < 1, and k or n out of range, are DataErrors raised before any
+    moment is summed; s = -1 used to fail in numpy, and s = 0, k > q and
+    n > s min(m, p) only after the whole moment pass."""
     mix = L.MixtureSpec(components=(scalar_params(0.5),), weights=[1.0])
     ds = L.sample_mixture_dataset(mix, 10, 18, L.NoiseConfig(seed=1))
 
@@ -243,6 +205,11 @@ def test_learn_mixture_checks_the_horizon_before_the_moment_pass(monkeypatch):
     for s in (0, -1):
         with pytest.raises(DataError, match="s must be >= 1"):
             L.learn_mixture(ds, 1, 1, s, np.random.default_rng(0))
+    # m = p = 1 and s = 2: q = (2s+1)mp = 5 and n <= s min(m, p) = 2
+    for k, n, message in ((0, 1, "rank r must be >= 1"), (6, 1, "rank r=6 exceeds"),
+                          (1, 0, "state dimension n=0"), (1, 3, "state dimension n=3")):
+        with pytest.raises(DataError, match=message):
+            L.learn_mixture(ds, k, n, 2, np.random.default_rng(0))
 
 
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), data=st.data())
@@ -255,8 +222,9 @@ def test_permutation_equivariance_on_exact_moments(seed, k, data):
     mix = L.random_mixture(k, (2, 2, 2), np.random.default_rng(seed), min_gamma=0.3, s=2)
     permuted = L.MixtureSpec(components=tuple(mix.components[i] for i in order),
                              weights=mix.weights[list(order)])
-    out1 = L.learn_mixture_from_moments(*exact_inputs(mix, 2), k, 2, 2, np.random.default_rng(seed))
-    out2 = L.learn_mixture_from_moments(*exact_inputs(permuted, 2), k, 2, 2,
+    out1 = L.learn_mixture_from_moments(*oracles.exact_moments(mix, 2), k, 2, 2,
+                                        np.random.default_rng(seed))
+    out2 = L.learn_mixture_from_moments(*oracles.exact_moments(permuted, 2), k, 2, 2,
                                         np.random.default_rng(seed))
     same = L.align_similarity(out1, out2, 2)  # out2[j] is out1[same.permutation[j]]
     assert same.max_error <= 1e-6
@@ -276,8 +244,10 @@ def test_exact_moments_recover_both_orders():
         components=(mix.components[1], mix.components[0]),
         weights=[mix.weights[1], mix.weights[0]],
     )
-    out1 = L.learn_mixture_from_moments(*exact_inputs(mix, 2), 2, 2, 2, np.random.default_rng(8))
-    out2 = L.learn_mixture_from_moments(*exact_inputs(swapped, 2), 2, 2, 2, np.random.default_rng(8))
+    out1 = L.learn_mixture_from_moments(*oracles.exact_moments(mix, 2), 2, 2, 2,
+                                        np.random.default_rng(8))
+    out2 = L.learn_mixture_from_moments(*oracles.exact_moments(swapped, 2), 2, 2, 2,
+                                        np.random.default_rng(8))
     rep1 = L.align_similarity(mix, out1, 2)
     rep2 = L.align_similarity(swapped, out2, 2)
     assert rep1.max_error <= 1e-8 and rep2.max_error <= 1e-8

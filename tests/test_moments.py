@@ -34,16 +34,16 @@ def test_exact_cross_covariance_is_weighted_markov_sum():
     mix = L.random_mixture(2, (2, 2, 2), rng)
     for k1 in range(4):
         expect = sum(
-            w * L.markov_parameter(c, k1) for w, c in zip(mix.weights, mix.components)
+            w * oracles.markov_parameter(c, k1) for w, c in zip(mix.weights, mix.components)
         )
-        assert np.allclose(L.exact_cross_covariance(mix, k1), expect)
+        assert np.allclose(oracles.exact_cross_covariance(mix, k1), expect)
 
 
 def test_exact_cross_covariance_cancellation():
     c1 = scalar_params(0.5, d=1.0)
     c2 = scalar_params(0.5, d=-1.0)
     mix = L.MixtureSpec(components=(c1, c2), weights=[0.5, 0.5])
-    assert np.allclose(L.exact_cross_covariance(mix, 0), [[0.0]])
+    assert np.allclose(oracles.exact_cross_covariance(mix, 0), [[0.0]])
 
 
 def test_cross_covariance_stack_blocks_match_assembled():
@@ -72,7 +72,7 @@ def test_sixth_moment_single_trajectory_literal_outer():
     rng = np.random.default_rng(5)
     traj = L.Trajectory(u=rng.standard_normal((9, 2)), y=rng.standard_normal((9, 3)))
     k1, k2, k3 = 1, 0, 2
-    est = MomentTensor6.estimate(L.Dataset.from_trajectories([traj]), 1).block(k1, k2, k3)
+    est = MomentTensor6.estimate(L.Dataset(u=traj.u[None], y=traj.y[None]), 1).block(k1, k2, k3)
     expect = np.einsum(
         "a,b,c,d,e,f->abcdef",
         traj.y[k1 + k2 + k3 + 2], traj.u[k1 + k2 + 2],
@@ -126,27 +126,27 @@ def test_sixth_moment_across_the_real_chunk_boundary():
 
 def test_exact_sixth_moment_feedthrough_cube():
     mix = scalar_mixture(0.0, d=2.0)
-    assert np.allclose(L.exact_sixth_moment_block(mix, 0, 0, 0).ravel(), [8.0])
+    assert np.allclose(oracles.exact_sixth_moment_block(mix, 0, 0, 0).ravel(), [8.0])
 
 
 def test_exact_sixth_moment_markov_products():
     mix = scalar_mixture(0.5, d=0.0)  # b = c = 1
-    assert np.allclose(L.exact_sixth_moment_block(mix, 1, 1, 1).ravel(), [1.0])
-    assert np.allclose(L.exact_sixth_moment_block(mix, 2, 2, 2).ravel(), [0.125])
+    assert np.allclose(oracles.exact_sixth_moment_block(mix, 1, 1, 1).ravel(), [1.0])
+    assert np.allclose(oracles.exact_sixth_moment_block(mix, 2, 2, 2).ravel(), [0.125])
 
 
 def test_exact_sixth_moment_matrix_structure():
     rng = np.random.default_rng(6)
     mix = L.random_mixture(2, (2, 3, 2), rng)
     k1, k2, k3 = 0, 2, 1
-    block = L.exact_sixth_moment_block(mix, k1, k2, k3)
+    block = oracles.exact_sixth_moment_block(mix, k1, k2, k3)
     expect = np.zeros_like(block)
     for w, comp in zip(mix.weights, mix.components):
         expect += w * np.einsum(
             "ab,cd,ef->abcdef",
-            L.markov_parameter(comp, k3),
-            L.markov_parameter(comp, k2),
-            L.markov_parameter(comp, k1),
+            oracles.markov_parameter(comp, k3),
+            oracles.markov_parameter(comp, k2),
+            oracles.markov_parameter(comp, k1),
         )
     assert np.allclose(block, expect)
 
@@ -199,7 +199,7 @@ def test_monte_carlo_error_scales_as_inverse_sqrt_n():
         weights=[0.5, 0.5],
     )
     s = 1
-    exact = MomentTensor6.exact(mix, s).blocks
+    exact = oracles.exact_moment_tensor(mix, s).blocks
     ratios = []
     for seed in range(20):
         errs = []
@@ -218,7 +218,7 @@ def test_monte_carlo_error_scales_as_inverse_sqrt_n():
 def test_assemble_exact_rank_one_for_single_component():
     rng = np.random.default_rng(9)
     mix = L.MixtureSpec(components=(L.random_lds((2, 2, 2), rng),), weights=[1.0])
-    flat = L.assemble_pi(MomentTensor6.exact(mix, 1))
+    flat = L.assemble_pi(oracles.exact_moment_tensor(mix, 1))
     unfold = flat.data.reshape(flat.q, -1)
     sv = np.linalg.svd(unfold, compute_uv=False)
     assert sv[1] <= 1e-10 * sv[0]
@@ -226,7 +226,7 @@ def test_assemble_exact_rank_one_for_single_component():
 
 def test_assemble_scalar_s0_is_feedthrough_cube():
     mix = scalar_mixture(0.0, d=2.0)
-    flat = L.assemble_pi(MomentTensor6.exact(mix, 0))
+    flat = L.assemble_pi(oracles.exact_moment_tensor(mix, 0))
     assert flat.q == 1 and np.allclose(flat.data.ravel(), [8.0])
 
 
@@ -234,7 +234,7 @@ def test_assemble_matches_weighted_outer_cubes():
     rng = np.random.default_rng(10)
     mix = L.random_mixture(2, (2, 2, 2), rng)
     s = 2
-    flat = L.assemble_pi(MomentTensor6.exact(mix, s))
+    flat = L.assemble_pi(oracles.exact_moment_tensor(mix, s))
     expect = np.zeros_like(flat.data)
     for w, comp in zip(mix.weights, mix.components):
         v = oracles.flatten_markov(L.markov_matrix(comp, 2 * s), comp.p)
@@ -247,7 +247,7 @@ def test_assemble_exact_symmetric_rank_bounded_by_k():
         rng = np.random.default_rng(100 + seed)
         k = int(rng.integers(1, 4))
         mix = L.random_mixture(k, (2, 2, 2), rng, min_gamma=0.05)
-        flat = L.assemble_pi(MomentTensor6.exact(mix, 1))
+        flat = L.assemble_pi(oracles.exact_moment_tensor(mix, 1))
         sv = np.linalg.svd(flat.data.reshape(flat.q, -1), compute_uv=False)
         assert np.sum(sv > 1e-8 * sv[0]) <= k
 
@@ -278,7 +278,7 @@ def test_flatten_block_layout():
 def test_symmetrize_noop_on_exact_tensor():
     rng = np.random.default_rng(12)
     mix = L.random_mixture(2, (2, 2, 2), rng)
-    flat = L.assemble_pi(MomentTensor6.exact(mix, 1))
+    flat = L.assemble_pi(oracles.exact_moment_tensor(mix, 1))
     assert np.max(np.abs(L.symmetrize_tensor3(flat.data) - flat.data)) <= 1e-12
     t = rng.standard_normal((4, 4, 4))
     sym = L.symmetrize_tensor3(t)
@@ -296,9 +296,9 @@ def test_cross_covariance_is_sixth_moment_contraction_in_expectation():
     d = mix.components[0].d
     d_unit = d / np.linalg.norm(d, "fro") ** 2
     for k1 in range(3):
-        block = L.exact_sixth_moment_block(mix, k1, 0, 0)
+        block = oracles.exact_sixth_moment_block(mix, k1, 0, 0)
         contracted = np.einsum("abcdef,ab,cd->ef", block, d_unit, d_unit)
-        assert np.allclose(contracted, L.exact_cross_covariance(mix, k1), atol=1e-12)
+        assert np.allclose(contracted, oracles.exact_cross_covariance(mix, k1), atol=1e-12)
     # per-sample the two estimators differ
     ds = L.sample_mixture_dataset(mix, 1, 18, L.NoiseConfig(seed=15))
     block = oracles.estimate_sixth_moment_block(ds, 1, 0, 0)
@@ -310,6 +310,6 @@ def test_moment_tensor_standard_errors_cover_truth():
     mix = scalar_mixture(0.3, d=1.0)
     ds = L.sample_mixture_dataset(mix, 20_000, 18, L.NoiseConfig(seed=13))
     est = MomentTensor6.estimate(ds, 2)
-    exact = MomentTensor6.exact(mix, 2)
+    exact = oracles.exact_moment_tensor(mix, 2)
     z = np.abs(est.blocks - exact.blocks) / np.maximum(oracles.sixth_moment_se(ds, 2), 1e-30)
     assert z.max() <= 6.0

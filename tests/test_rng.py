@@ -35,6 +35,17 @@ def test_substream_draws_match_reference_across_batches(monkeypatch):
         assert np.array_equal(normals[i], gen.standard_normal(5))
 
 
+def test_seed_must_be_a_nonnegative_integer():
+    """The library applies the CLI's --seed rule: a negative or non-integer
+    seed is a DataError, not numpy's ValueError or TypeError."""
+    mix = L.MixtureSpec(components=(L.LdsParams(a=[[0.5]], b=[[1.0]], c=[[1.0]], d=[[0.0]]),),
+                        weights=[1.0])
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(DataError, match="seed needs an integer >= 0"):
+            L.sample_mixture_dataset(mix, 5, 18, L.NoiseConfig(seed=seed))
+    assert len(L.sample_mixture_dataset(mix, 5, 18, L.NoiseConfig(seed=np.int64(3)))) == 5
+
+
 def test_substream_index_must_fit_one_spawn_key_word():
     # Both guards run before anything is allocated for the 2**32 + 1 indices.
     assert len(R.substream_states(0, 2**32 - 1, 2**32)) == 1
