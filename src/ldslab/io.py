@@ -152,7 +152,11 @@ def load_mixture(path: str) -> MixtureSpec:
 
 
 # Trajectories formatted per batch in save_dataset; bounds the text held at once.
-_SAVE_BATCH = 4096
+# A batch's Python floats, lines and joined text (about 5 KB per trajectory
+# at l = 18, m = p = 2) are the largest transient of ``ldslab generate``; with
+# larger batches the peak RSS of a process that generates repeatedly depends
+# on where malloc happens to place them.
+_SAVE_BATCH = 1024
 
 
 def save_dataset(path: str, dataset: Dataset) -> None:

@@ -243,6 +243,14 @@ def require_dataset(obj) -> Dataset:
     return obj
 
 
+def require_int(value, name: str) -> int:
+    """``value`` as an int; a DataError naming ``name`` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DataError(f"{name} must be an integer, got {value!r}") from None
+
+
 def require_mixture(obj) -> MixtureSpec:
     if not isinstance(obj, MixtureSpec):
         raise DataError(f"expected a MixtureSpec, got {type(obj).__name__}")
@@ -294,30 +302,40 @@ def sample_mixture_dataset(
     Trajectory ``i`` consumes only substream ``i`` of ``noise.seed``: one
     uniform for its label, then one normal block split into x0, u, w, z
     in the order of :func:`draw_lds_noise`, so the dataset is
-    reproducible bit for bit at any degree of parallelism.
+    reproducible bit for bit at any degree of parallelism.  Trajectories
+    are drawn and run in chunks of ``rng._BATCH`` = 4096 straight into the
+    Dataset's arrays, so the working memory is the Dataset plus one
+    (4096, n + length (p + n + m)) buffer of normals and its per-component
+    gathers.
     """
+    n_traj, length = require_int(n_traj, "n_traj"), require_int(length, "length")
     if n_traj < 1:
         raise DataError("n_traj must be >= 1")
     if length < 1:
         raise DataError("length must be >= 1")
     m, n, p = mix.dims
     u_end, w_end = n + length * p, n + length * (p + n)
-    uniforms, block = substream_draws(noise.seed, n_traj, w_end + length * m)
-    labels = np.searchsorted(np.cumsum(mix.weights), uniforms, side="right")
-    labels = np.minimum(labels, mix.k - 1)  # guard against rounding at cumw[-1]
-    block[:, :n] *= mix.noise_scale
-    block[:, u_end:] *= mix.noise_scale
-    x0 = block[:, :n]
-    u = block[:, n:u_end].reshape(n_traj, length, p)
-    w = block[:, u_end:w_end].reshape(n_traj, length, n)
-    z = block[:, w_end:].reshape(n_traj, length, m)
-    y = np.empty((n_traj, length, m))
-    for ci, comp in enumerate(mix.components):
-        idx = np.flatnonzero(labels == ci)
-        if idx.size:
-            y[idx] = _iterate_batch(comp, x0[idx], u[idx], w[idx], z[idx])
-    y.setflags(write=False)
-    return Dataset(u=u, y=y, labels=labels)  # copies u out of the block
+    draws = substream_draws(noise.seed, n_traj, w_end + length * m)
+    cumw = np.cumsum(mix.weights)
+    u, y = np.empty((n_traj, length, p)), np.empty((n_traj, length, m))
+    labels = np.empty(n_traj, dtype=np.intp)
+    for start, uniforms, block in draws:
+        chunk = slice(start, start + len(block))
+        label = np.searchsorted(cumw, uniforms, side="right")
+        labels[chunk] = np.minimum(label, mix.k - 1)  # guard against rounding at cumw[-1]
+        block[:, :n] *= mix.noise_scale
+        block[:, u_end:] *= mix.noise_scale
+        u[chunk] = block[:, n:u_end].reshape(-1, length, p)
+        x0 = block[:, :n]
+        w = block[:, u_end:w_end].reshape(-1, length, n)
+        z = block[:, w_end:].reshape(-1, length, m)
+        for ci, comp in enumerate(mix.components):
+            idx = np.flatnonzero(labels[chunk] == ci)
+            if idx.size:
+                y[start + idx] = _iterate_batch(comp, x0[idx], u[start + idx], w[idx], z[idx])
+    for arr in (u, y, labels):
+        arr.setflags(write=False)
+    return Dataset(u=u, y=y, labels=labels)
 
 
 def observability_matrix(params: LdsParams, s: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from .lds import (
     markov_matrix,
     observability_matrix,
     require_dataset,
+    require_int,
     require_mixture,
 )
 from .moments import (
@@ -164,9 +165,11 @@ def learn_mixture(dataset, k: int, n: int, s: int, rng: np.random.Generator) -> 
     Its trajectories must have length >= min_trajectory_length(s) = 6s+3;
     the estimators use indices up to 6s+2.  The result is a
     :class:`LearnedMixture`, usable wherever a MixtureSpec is.  The ranges
-    of s, k and n are checked before the moment pass: Ho-Kalman needs s >= 1
-    and 1 <= n <= s min(m, p), and the decomposition 1 <= k <= q = (2s+1)mp.
+    of s, k and n are checked before the moment pass: all three are integers,
+    Ho-Kalman needs s >= 1 and 1 <= n <= s min(m, p), and the decomposition
+    1 <= k <= q = (2s+1)mp.
     """
+    k, n, s = require_int(k, "k"), require_int(n, "n"), require_int(s, "s")
     if s < 1:
         raise DataError("s must be >= 1")
     m, p = require_dataset(dataset).y.shape[2], dataset.u.shape[2]

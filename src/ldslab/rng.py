@@ -10,9 +10,11 @@ child of ``SeedSequence(s).spawn(...)``.  Whoever consumes trajectory
 
 :func:`substream` builds that generator the documented way and remains
 the reference.  Datasets are sampled through :func:`substream_draws`,
-whose fast path (:func:`substream_states`) reproduces the PCG64 state of
-``substream(seed, i)`` bit for bit without a ``SeedSequence`` or a
-``Generator`` per index.
+which computes in numpy, for a whole chunk of indices at once, the PCG64
+state of ``substream(seed, i)`` (:func:`substream_states`) and the first
+``random()`` draw of each (one PCG64 step and its XSL-RR output, O'Neill
+2014), bit for bit, without a ``SeedSequence`` or a ``Generator`` per
+index; only the normals come from numpy's ``Generator``.
 """
 from __future__ import annotations
 
@@ -27,11 +29,12 @@ __all__ = ["substream", "substream_states", "substream_draws"]
 
 # SeedSequence constants of numpy/random/bit_generator.pyx (INIT_A, MULT_A,
 # INIT_B, MULT_B, MIX_MULT_L, MIX_MULT_R) and PCG_DEFAULT_MULTIPLIER_128 of
-# numpy/random/src/pcg64/pcg64.h.
+# numpy/random/src/pcg64/pcg64.h, the latter as (high, low) 64-bit words.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# The index is one 32-bit spawn-key word; states are made per batch.
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+_LOW32 = np.uint64(0xFFFFFFFF)
+# The index is one 32-bit spawn-key word; draws are made per chunk of _BATCH.
 MAX_SUBSTREAMS = 2**32
 _BATCH = 4096
 
@@ -48,8 +51,40 @@ def _hash(values: np.ndarray, const: int, mult: int):
     return values ^ (values >> np.uint32(16)), const_next
 
 
-def substream_states(seed: int, start: int, stop: int) -> list:
+def _add128(a, b):
+    """a + b mod 2**128 on (high, low) pairs of uint64 arrays."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < a[1]), low
+
+
+def _pcg_step(state, inc):
+    """One PCG64 step, state * MULT + inc mod 2**128, on (high, low) pairs.
+
+    The high word of the low words' 128-bit product is summed from 32-bit
+    limbs; every other product only matters mod 2**64.
+    """
+    (hi, lo), (mult_hi, mult_lo) = state, _PCG_MULT
+    lo0, lo1, m0, m1 = lo & _LOW32, lo >> 32, mult_lo & _LOW32, mult_lo >> 32
+    cross0, cross1 = lo0 * m1, lo1 * m0
+    mid = (lo0 * m0 >> 32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    carry = lo1 * m1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
+    return _add128((carry + hi * mult_lo + lo * mult_hi, lo * mult_lo), inc)
+
+
+def _uniform(state) -> np.ndarray:
+    """``Generator.random()`` from PCG64 states that have just stepped:
+    the XSL-RR output (high ^ low rotated right by high >> 58), top 53 bits."""
+    hi, lo = state
+    xored, rot = hi ^ lo, hi >> 58
+    out = (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (out >> 11) * 2.0**-53
+
+
+def substream_states(seed: int, start: int, stop: int) -> tuple:
     """PCG64 ``(state, inc)`` of ``substream(seed, i)`` for i in [start, stop).
+
+    Each is a (high, low) pair of uint64 arrays indexed by i - start, so the
+    128-bit value for index i is ``int(high[j]) << 64 | int(low[j])``.
 
     ``SeedSequence(seed, spawn_key=(i,))`` mixes the seed words into its pool,
     then the word i.  Before that last step the pool is ``SeedSequence(seed).pool``
@@ -73,34 +108,43 @@ def substream_states(seed: int, start: int, stop: int) -> list:
         hashed, const = _hash(index, const, _MULT_A)
         mixed = np.uint32(_MIX_L * int(word) & 0xFFFFFFFF) - _MIX_R * hashed
         pool.append(mixed ^ (mixed >> np.uint32(16)))
-    const, state = _INIT_B, []
-    for dst in range(8):
-        hashed, const = _hash(pool[dst % 4], const, _MULT_B)
-        state.append(hashed.tolist())
-    out = []
-    for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*state):
-        initstate = (w1 << 96) | (w0 << 64) | (w3 << 32) | w2
-        inc = ((w5 << 97) | (w4 << 65) | (w7 << 33) | (w6 << 1) | 1) % 2**128
-        out.append((((inc + initstate) * _PCG_MULT + inc) % 2**128, inc))
-    return out
+    const, seeds = _INIT_B, []
+    for dst in range(0, 8, 2):  # four uint64 words, each from two uint32 words
+        low, const = _hash(pool[dst % 4], const, _MULT_B)
+        high, const = _hash(pool[(dst + 1) % 4], const, _MULT_B)
+        seeds.append(high.astype(np.uint64) << 32 | low)
+    initstate, (seq_hi, seq_lo) = seeds[:2], seeds[2:]
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    return _pcg_step(_add128(inc, initstate), inc), inc
 
 
 def substream_draws(seed: int, n_traj: int, width: int):
-    """(uniforms (n_traj,), normals (n_traj, width)) from substreams 0..n_traj-1.
+    """Iterate ``(start, uniforms, normals)`` over substreams 0..n_traj-1 in chunks.
 
-    Row i holds what ``substream(seed, i)`` gives for one ``random()``
-    followed by one ``standard_normal(width)``.
+    A chunk covers at most ``_BATCH`` substreams from ``start`` on.  Row j
+    holds what ``substream(seed, start + j)`` gives for one ``random()``
+    (``uniforms[j]``) followed by one ``standard_normal(width)``
+    (``normals[j]``).  ``normals`` is one buffer refilled for every chunk, so
+    each chunk must be used before the next is drawn.  The seed and n_traj
+    are checked here, before the caller allocates anything for the draws.
     """
-    substream_states(seed, n_traj, n_traj)  # checks seed and n_traj before allocating
-    uniforms, normals = np.empty(n_traj), np.empty((n_traj, width))
+    substream_states(seed, n_traj, n_traj)
+    return _draw_chunks(seed, n_traj, width)
+
+
+def _draw_chunks(seed: int, n_traj: int, width: int):
+    buffer = np.empty((min(n_traj, _BATCH), width))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     for start in range(0, n_traj, _BATCH):
-        states = substream_states(seed, start, min(start + _BATCH, n_traj))
-        for i, (state, inc) in enumerate(states, start):
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            uniforms[i] = gen.random()
-            gen.standard_normal(out=normals[i])
-    return uniforms, normals
-
+        state, inc = substream_states(seed, start, min(start + _BATCH, n_traj))
+        state = _pcg_step(state, inc)  # the step random() takes
+        normals = buffer[: len(inc[0])]
+        words = zip(normals, *(half.tolist() for half in (*state, *inc)))
+        for row, state_hi, state_lo, inc_hi, inc_lo in words:
+            pcg["state"], pcg["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+            bitgen.state = full
+            gen.standard_normal(out=row)
+        yield start, _uniform(state), normals

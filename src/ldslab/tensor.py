@@ -170,7 +170,9 @@ def jennrich_decompose(t: np.ndarray, r: int, rng: np.random.Generator) -> tuple
         try:
             factors = _jennrich_once(t, r, rng)
         except NumericalError as exc:
-            last_error = exc
+            # Without its traceback: the frames it holds would keep the caller's
+            # locals (the learner's Dataset) alive in a cycle until a full GC.
+            last_error = exc.with_traceback(None)
             continue
         residual = float(np.linalg.norm(t - reconstruct(*factors)))
         if residual < best_residual:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,22 @@ def test_dataset_file_round_trip_is_exact(tmp_path_factory, shape, labelled, dat
     # bytes, not values: -0.0 == 0.0, but the sign of zero must survive too
     assert back.u.tobytes() == u.tobytes() and back.y.tobytes() == y.tobytes()
     assert back.labels is None if labels is None else np.array_equal(back.labels, labels)
+
+
+def test_save_dataset_holds_one_batch_of_text(tmp_path, benchmark_mixture):
+    """Writing 3000 trajectories (three batches, the last partial) holds one
+    batch's floats and text at a time: the traced peak (about 4.5 MB) stays
+    under 8 MB, where formatting all 3000 at once takes about 13 MB."""
+    ds = L.sample_mixture_dataset(benchmark_mixture, 3000, 18, L.NoiseConfig(seed=5))
+    path = tmp_path / "ds.jsonl"
+    tracemalloc.start()
+    try:
+        save_dataset(path, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert len(path.read_text().splitlines()) == 3000
 
 
 def test_learned_model_file_round_trip(tmp_path):

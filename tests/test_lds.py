@@ -1,10 +1,13 @@
 import dataclasses
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ldslab as L
 import oracles
+from ldslab import rng as R
 from ldslab.errors import DataError, DimensionError
 
 
@@ -214,6 +217,62 @@ def test_dataset_matches_single_trajectory_substreams():
                                     L.NoiseConfig(seed=21))
     assert np.array_equal(unit.u, ds.u) and np.array_equal(unit.labels, ds.labels)
     assert not np.allclose(unit.y, ds.y)
+
+
+def test_dataset_rows_match_their_substreams_across_chunks(monkeypatch, benchmark_mixture):
+    """Chunks of 5 over 13 trajectories (the last one partial, each with
+    both components): every row is its own substream run through the
+    recurrence alone."""
+    monkeypatch.setattr(R, "_BATCH", 5)
+    mix = dataclasses.replace(benchmark_mixture, noise_scale=0.7)
+    ds = L.sample_mixture_dataset(mix, 13, 4, L.NoiseConfig(seed=2**40 + 10))
+    cumw = np.cumsum(mix.weights)
+    for i, traj in enumerate(ds):
+        rng = L.substream(2**40 + 10, i)
+        label = int(np.searchsorted(cumw, rng.random(), side="right"))
+        ref = oracles.simulate_trajectory(mix.components[label], 4, 0.7, rng)
+        assert traj.label == label
+        assert np.array_equal(traj.u, ref.u) and np.array_equal(traj.y, ref.y)
+    assert all(set(ds.labels[lo:lo + 5].tolist()) == {0, 1} for lo in (0, 5, 10))
+
+
+def test_dataset_bits_are_pinned(benchmark_mixture):
+    """sha256 of the arrays sampled from the benchmark mixture: a change to
+    the draws, their order or the recurrence's arithmetic shows here."""
+    ds = L.sample_mixture_dataset(benchmark_mixture, 5000, 18, L.NoiseConfig(42))
+    digests = {name: hashlib.sha256(getattr(ds, name).tobytes()).hexdigest()
+               for name in ("u", "y", "labels")}
+    assert ds.labels.dtype == np.int64
+    assert digests == {
+        "u": "ab218d67234362af46a5d07105e530ae2fa397920ce86061b90845e23831bf5c",
+        "y": "76905107115bf1abd6fa9b57e098885297e10d0452ea61fe41b437a169010497",
+        "labels": "80039aef0bd77c1ba396e7e09519b683c2b1f0bace645e4d0e25b85d3eea0cb2",
+    }
+
+
+def test_sampling_memory_is_the_dataset_plus_a_chunk(benchmark_mixture):
+    """Traced peak of sampling 20000 trajectories (five chunks, the last
+    partial) stays within the Dataset plus three (4096, width) float buffers;
+    an N-by-width block of normals would exceed it."""
+    n_traj, length = 20_000, 18
+    m, n, p = benchmark_mixture.dims
+    allowance = 3 * R._BATCH * (n + length * (p + n + m)) * 8
+    tracemalloc.start()
+    try:
+        ds = L.sample_mixture_dataset(benchmark_mixture, n_traj, length, L.NoiseConfig(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ds.u.nbytes + ds.y.nbytes + ds.labels.nbytes + allowance
+
+
+def test_dataset_counts_must_be_integers():
+    mix = L.MixtureSpec(components=(scalar_params(0.5),), weights=[1.0])
+    with pytest.raises(DataError, match="n_traj must be an integer, got 5.0"):
+        L.sample_mixture_dataset(mix, 5.0, 18, L.NoiseConfig(seed=0))
+    with pytest.raises(DataError, match="length must be an integer, got 18.0"):
+        L.sample_mixture_dataset(mix, 5, 18.0, L.NoiseConfig(seed=0))
+    assert len(L.sample_mixture_dataset(mix, np.int64(5), 18, L.NoiseConfig(seed=0))) == 5
 
 
 # ---------- diagnostic matrices ----------

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -192,9 +194,10 @@ def test_learn_mixture_input_validation():
 
 
 def test_learn_mixture_checks_the_horizon_before_the_moment_pass(monkeypatch):
-    """s < 1, and k or n out of range, are DataErrors raised before any
-    moment is summed; s = -1 used to fail in numpy, and s = 0, k > q and
-    n > s min(m, p) only after the whole moment pass."""
+    """s < 1, k or n out of range, and non-integer k, n or s are DataErrors
+    raised before any moment is summed; s = -1 used to fail in numpy, and
+    s = 0, k > q, n > s min(m, p) and k or n = 1.5 only after the whole
+    moment pass."""
     mix = L.MixtureSpec(components=(scalar_params(0.5),), weights=[1.0])
     ds = L.sample_mixture_dataset(mix, 10, 18, L.NoiseConfig(seed=1))
 
@@ -207,9 +210,38 @@ def test_learn_mixture_checks_the_horizon_before_the_moment_pass(monkeypatch):
             L.learn_mixture(ds, 1, 1, s, np.random.default_rng(0))
     # m = p = 1 and s = 2: q = (2s+1)mp = 5 and n <= s min(m, p) = 2
     for k, n, message in ((0, 1, "rank r must be >= 1"), (6, 1, "rank r=6 exceeds"),
-                          (1, 0, "state dimension n=0"), (1, 3, "state dimension n=3")):
+                          (1, 0, "state dimension n=0"), (1, 3, "state dimension n=3"),
+                          (1.5, 1, "k must be an integer"), (1, 1.5, "n must be an integer")):
         with pytest.raises(DataError, match=message):
             L.learn_mixture(ds, k, n, 2, np.random.default_rng(0))
+    with pytest.raises(DataError, match="s must be an integer"):
+        L.learn_mixture(ds, 1, 1, 2.0, np.random.default_rng(0))
+
+
+def test_a_failed_restart_does_not_keep_the_dataset_alive(monkeypatch, benchmark_mixture):
+    """The decomposition keeps the last restart's error to re-raise; were its
+    traceback kept too, its frames would hold learn_mixture's Dataset in a
+    cycle that only a full garbage collection frees."""
+    calls = []
+    once = L.tensor._jennrich_once
+
+    def first_call_fails(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NumericalError("a failing restart")
+        return once(*args)
+
+    monkeypatch.setattr(L.tensor, "_jennrich_once", first_call_fails)
+    ds = L.sample_mixture_dataset(benchmark_mixture, 200, 15, L.NoiseConfig(seed=3))
+    ref = weakref.ref(ds)
+    gc.disable()
+    try:
+        L.learn_mixture(ds, 2, 2, 2, np.random.default_rng(4))
+        del ds
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert len(calls) == L.tensor.RESTARTS
 
 
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), data=st.data())

@@ -17,22 +17,31 @@ SEEDS = st.one_of(
 
 @given(seed=SEEDS, start=st.integers(0, 2**32 - 1), count=st.integers(1, 6))
 def test_substream_states_match_numpy_seeding(seed, start, count):
-    """The vectorized states equal PCG64(SeedSequence(seed, spawn_key=(i,)))."""
+    """The vectorized states equal PCG64(SeedSequence(seed, spawn_key=(i,))),
+    and one step of them gives that generator's first random()."""
     stop = min(start + count, 2**32)
-    states = R.substream_states(seed, start, stop)
-    assert len(states) == stop - start
-    for i, (state, inc) in enumerate(states, start):
-        ref = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))).state["state"]
-        assert (state, inc) == (ref["state"], ref["inc"])
+    state, inc = R.substream_states(seed, start, stop)
+    assert all(half.shape == (stop - start,) for half in (*state, *inc))
+    uniforms = R._uniform(R._pcg_step(state, inc))
+    for j, i in enumerate(range(start, stop)):
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+        ref = gen.bit_generator.state["state"]
+        assert int(state[0][j]) << 64 | int(state[1][j]) == ref["state"]
+        assert int(inc[0][j]) << 64 | int(inc[1][j]) == ref["inc"]
+        assert uniforms[j] == gen.random()
 
 
 def test_substream_draws_match_reference_across_batches(monkeypatch):
     monkeypatch.setattr(R, "_BATCH", 3)
-    uniforms, normals = R.substream_draws(2**70 + 3, 8, 5)
-    for i in range(8):
-        gen = L.substream(2**70 + 3, i)
-        assert uniforms[i] == gen.random()
-        assert np.array_equal(normals[i], gen.standard_normal(5))
+    chunks = [(start, uniforms.copy(), normals.copy())
+              for start, uniforms, normals in R.substream_draws(2**70 + 3, 8, 5)]
+    assert [(start, len(uniforms), normals.shape) for start, uniforms, normals in chunks] == [
+        (0, 3, (3, 5)), (3, 3, (3, 5)), (6, 2, (2, 5))]
+    for start, uniforms, normals in chunks:
+        for j in range(len(uniforms)):
+            gen = L.substream(2**70 + 3, start + j)
+            assert uniforms[j] == gen.random()
+            assert np.array_equal(normals[j], gen.standard_normal(5))
 
 
 def test_seed_must_be_a_nonnegative_integer():
@@ -48,7 +57,7 @@ def test_seed_must_be_a_nonnegative_integer():
 
 def test_substream_index_must_fit_one_spawn_key_word():
     # Both guards run before anything is allocated for the 2**32 + 1 indices.
-    assert len(R.substream_states(0, 2**32 - 1, 2**32)) == 1
+    assert R.substream_states(0, 2**32 - 1, 2**32)[1][0].shape == (1,)
     with pytest.raises(DataError, match="2147483648|4294967296"):
         R.substream_states(0, 0, 2**32 + 1)
     with pytest.raises(DataError):
