@@ -35,7 +35,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import DataError
-from .lds import Dataset, LdsParams, MixtureSpec, require_dataset, require_mixture
+from .lds import Dataset, LdsParams, MixtureSpec, all_finite, require_dataset, require_mixture
 from .lds import Trajectory  # noqa: F401  (kept as io.Trajectory: perfbench wraps it)
 
 __all__ = [
@@ -162,7 +162,7 @@ _SAVE_BATCH = 1024
 def save_dataset(path: str, dataset: Dataset) -> None:
     """Write one JSON line per trajectory, floats at 17 significant digits."""
     u, y, labels = require_dataset(dataset).u, dataset.y, dataset.labels
-    if not (np.isfinite(u).all() and np.isfinite(y).all()):
+    if not (all_finite(u) and all_finite(y)):
         raise DataError("cannot serialize a dataset with non-finite values")
     (n_traj, length, p), m = u.shape, y.shape[2]
     rows = [",".join(["[" + ",".join(["%.17g"] * w) + "]"] * length) for w in (p, m)]

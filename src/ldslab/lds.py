@@ -63,6 +63,11 @@ def _freeze(arr, dtype=float) -> np.ndarray:
     return arr
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """No nan or inf in ``arr``, found with no elementwise temporary: nan reaches min and max."""
+    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 @dataclass(frozen=True, eq=False)  # identity equality: fields are arrays
 class LdsParams:
     """Parameter matrices (a, b, c, d) of one linear dynamical system.
@@ -178,7 +183,7 @@ class Trajectory:
         u, y = (_freeze(np.atleast_2d(np.asarray(v, dtype=float))) for v in (self.u, self.y))
         if u.shape[0] != y.shape[0] or u.shape[0] < 1:
             raise DataError(f"u has {u.shape[0]} steps but y has {y.shape[0]}; need equal lengths >= 1")
-        if not (np.isfinite(u).all() and np.isfinite(y).all()):
+        if not (all_finite(u) and all_finite(y)):
             raise DataError("trajectory contains non-finite entries")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
@@ -209,7 +214,7 @@ class Dataset:
             raise DataError(
                 f"expected u (N, l, p) and y (N, l, m) with N, l >= 1, got {u.shape} and {y.shape}"
             )
-        if not (np.isfinite(u).all() and np.isfinite(y).all()):
+        if not (all_finite(u) and all_finite(y)):
             raise DataError("dataset contains non-finite entries")
         labels = None if self.labels is None else _freeze(self.labels, dtype=None)
         if labels is not None and (labels.shape != u.shape[:1] or labels.dtype.kind not in "iu"):

@@ -1,10 +1,10 @@
 """End-to-end mixture learning and similarity-aligned evaluation.
 
-Pipeline: estimate the sixth-moment grid, flatten it, decompose into k
-rank-one terms, read off scaled Markov matrices Gtilde_i ~ w_i^(1/3) G_i,
-regress the cross-covariance stack on the Gtilde_i to get
-wtilde_i ~ w_i^(2/3), rescale (Ghat_i = Gtilde_i / sqrt(wtilde_i),
-what_i = wtilde_i^(3/2)), and realize each component by Ho-Kalman.
+Pipeline: estimate the sixth-moment grid and the cross-covariance stack
+in one pass, flatten the grid, decompose it into k rank-one terms, read
+off scaled Markov matrices Gtilde_i ~ w_i^(1/3) G_i, regress the stack on
+them to get wtilde_i ~ w_i^(2/3), rescale (Ghat_i = Gtilde_i /
+sqrt(wtilde_i), what_i = wtilde_i^(3/2)), and realize each by Ho-Kalman.
 
 The result is a :class:`LearnedMixture`: a :class:`~ldslab.lds.MixtureSpec`
 with unit noise plus the pipeline's diagnostics.  Learned parameters are
@@ -32,8 +32,8 @@ from .lds import (
 from .moments import (
     CrossCovarianceStack,
     FlatTensor3,
-    MomentTensor6,
     assemble_pi,
+    estimate_moments,
     symmetrize_tensor3,
     unflatten_markov,
 )
@@ -180,9 +180,8 @@ def learn_mixture(dataset, k: int, n: int, s: int, rng: np.random.Generator) -> 
         raise DataError(f"rank r={k} exceeds tensor dimension q={q}")
     if n < 1 or n > min(m * s, p * s):
         raise DataError(f"state dimension n={n} out of range for ms={m*s}, ps={p*s}")
-    flat = assemble_pi(MomentTensor6.estimate(dataset, s))
-    rhat = CrossCovarianceStack.estimate(dataset, s)
-    return learn_mixture_from_moments(flat, rhat, k, n, s, rng)
+    tensor, rhat = estimate_moments(dataset, s)
+    return learn_mixture_from_moments(assemble_pi(tensor), rhat, k, n, s, rng)
 
 
 @dataclass(frozen=True)

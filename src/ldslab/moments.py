@@ -1,6 +1,6 @@
 """Moment statistics of LDS mixtures: cross-covariances and sixth moments.
 
-With 0-based trajectory indexing, the two estimators implemented here are
+With 0-based trajectory indexing, the two statistics estimated here are
 
     Rhat[k1]          = mean_i  y[k1] (x) u[0]
     That[k1, k2, k3]  = mean_i  y[k1+k2+k3+2] (x) u[k1+k2+2] (x) y[k1+k2+1]
@@ -13,16 +13,17 @@ together over 0 <= k1,k2,k3 <= 2s and flattening (y, u) index pairs
 yields a third-order tensor whose rank-one components are the flattened
 per-component Markov matrices.
 
-Every factor of the sixth moment is a pair y[i+d] (x) u[i] with
-0 <= i <= 4s+2 and 0 <= d <= 2s, so the grid estimator first builds the
-pair slab
+Both come from one pass over the trajectories.  Every factor of the
+sixth moment is a pair y[i+d] (x) u[i] with 0 <= i <= 4s+2 and
+0 <= d <= 2s, so the pass first builds the pair slab
 
     pair[i, d*(m*p) + row*p + col, b] = y[b, i+d, row] * u[b, i, col]
 
 of shape (4s+3, (2s+1)*m*p, B) for a chunk of B trajectories, which lie
 on the last, contiguous axis.  The three factors of block (k1, k2, k3)
 are pair[0] at d = k1, pair[k1+1] at d = k2 and pair[k1+k2+2] at d = k3,
-so one GEMM per (k1, k2) covers every k3.
+so one GEMM per (k1, k2) covers every k3.  Row 0 of the slab is also
+Rhat's summand: pair[0, d*(m*p) + row*p + col, b] = y[b, d, row] u[b, 0, col].
 
 Flattening convention, fixed everywhere: a Markov matrix block X_k maps
 to vector indices k*(m*p) + row*p + col.
@@ -42,41 +43,36 @@ __all__ = [
     "MomentTensor6",
     "FlatTensor3",
     "assemble_pi",
+    "estimate_moments",
     "symmetrize_tensor3",
     "unflatten_markov",
     "min_trajectory_length",
 ]
 
-# Trajectories are reduced chunk-by-chunk in fixed order.  The chunk
-# bounds the length of any single accumulation run regardless of dataset
-# size, and the working memory of the sixth-moment sums: the pair slab,
-# the y and u buffers and one outer product take
+# Trajectories are reduced chunk-by-chunk in fixed order.  The chunk bounds
+# the length of any accumulation run and the working memory of the pass:
+# the pair slab, the y and u buffers and one outer product take
 # 8 * _CHUNK * ((4s+3)q + (6s+3)m + (4s+3)p + (mp)^2) bytes.
 _CHUNK = 8192
 
 
-def _horizon(s: int) -> int:
-    """``s``, once it is a valid estimator horizon (s >= 0)."""
+def min_trajectory_length(s: int) -> int:
+    """Shortest trajectory the order-s estimators accept (s >= 0); the
+    sixth-moment grid reads indices up to 6s+2."""
     if s < 0:
         raise DataError(f"s must be >= 0, got {s}")
-    return s
-
-
-def min_trajectory_length(s: int) -> int:
-    """Shortest trajectory the order-s estimators accept; the sixth-moment
-    grid reads indices up to 6s+2."""
-    return 6 * _horizon(s) + 3
+    return 6 * s + 3
 
 
 def too_short_message(length: int, need: int) -> str:
     return f"trajectories of length {length} are too short; need length >= {need}"
 
 
-def _arrays(dataset, min_length: int):
-    """(u, y) of a Dataset whose trajectories have length >= min_length."""
-    dataset = require_dataset(dataset)
-    if dataset.length < min_length:
-        raise DataError(too_short_message(dataset.length, min_length))
+def _arrays(dataset, s: int):
+    """(u, y) of a Dataset long enough for the order-s estimators."""
+    dataset, need = require_dataset(dataset), min_trajectory_length(s)
+    if dataset.length < need:
+        raise DataError(too_short_message(dataset.length, need))
     return dataset.u, dataset.y
 
 
@@ -90,23 +86,20 @@ class CrossCovarianceStack:
 
     @classmethod
     def estimate(cls, dataset, s: int) -> "CrossCovarianceStack":
-        u, y = _arrays(dataset, 2 * _horizon(s) + 1)
-        blocks = tuple(
-            np.einsum("bm,bp->bmp", y[:, k1], u[:, 0]).sum(axis=0) / len(u)
-            for k1 in range(2 * s + 1)
-        )
-        return cls(blocks=blocks, assembled=np.hstack(blocks), s=s)
+        """Rhat alone, for callers outside ``learn_mixture``: it runs all of
+        :func:`estimate_moments`, so it costs as much as a sixth-moment estimate."""
+        return estimate_moments(dataset, s)[1]
 
 
 def _sixth_moment_sums(u, y, s):
     """Sums over trajectories of the six-fold products on the whole grid: a
     (g, g, g*mp, mp*mp) array indexed [k1, k2, (k3, y3, u3), (y2, u2, y1, u1)]
-    with g = 2s+1, which reshapes directly into the block grid."""
-    n, _, m = y.shape
-    p = u.shape[2]
+    with g = 2s+1, which reshapes directly into the block grid, and of row 0
+    of the pair slab: a g*mp vector in the v(G) flattening."""
+    (n, _, m), p = y.shape, u.shape[2]
     mp, g, width = m * p, 2 * s + 1, 4 * s + 3
     batch = min(n, _CHUNK)
-    sums = np.zeros((g, g, g * mp, mp * mp))
+    sums, cross = np.zeros((g, g, g * mp, mp * mp)), np.zeros(g * mp)
     ybuf = np.empty((6 * s + 3, m, batch))
     ubuf = np.empty((width, p, batch))
     slab = np.empty((width, g, m, p, batch))
@@ -122,6 +115,7 @@ def _sixth_moment_sums(u, y, s):
         windows = sliding_window_view(yb, g, axis=0).transpose(0, 3, 1, 2)
         np.multiply(windows[:, :, :, None], ub[:, None, None], out=slab[..., :bsz])
         pair = slab[..., :bsz].reshape(width, g * mp, bsz)
+        cross += pair[0].sum(axis=1)
         block = outer[..., :bsz]
         for k1 in range(g):
             o1 = pair[0, k1 * mp:(k1 + 1) * mp]
@@ -130,11 +124,7 @@ def _sixth_moment_sums(u, y, s):
                 np.multiply(o2[:, None], o1[None], out=block)
                 np.matmul(pair[k1 + k2 + 2], block.reshape(mp * mp, bsz).T, out=prod)
                 sums[k1, k2] += prod
-    return sums
-
-
-def _block_shape(m, p):
-    return (m, p, m, p, m, p)
+    return sums, cross
 
 
 @dataclass(frozen=True)
@@ -150,7 +140,7 @@ class MomentTensor6:
         b = np.asarray(self.blocks, dtype=float)
         if b.ndim != 9 or b.shape[:3] != (g, g, g):
             raise DimensionError("blocks", f"expected ({g},{g},{g},m,p,m,p,m,p) grid")
-        if b.shape[3:] != _block_shape(b.shape[3], b.shape[4]):
+        if b.shape[3:] != b.shape[3:5] * 3:
             raise DimensionError("blocks", f"inconsistent block shape {b.shape[3:]}")
         if not np.all(np.isfinite(b)):
             raise DataError("sixth-moment blocks contain non-finite entries")
@@ -169,12 +159,18 @@ class MomentTensor6:
 
     @classmethod
     def estimate(cls, dataset, s: int) -> "MomentTensor6":
-        """Estimate every block from one streaming pass over the dataset."""
-        u, y = _arrays(dataset, min_trajectory_length(s))
-        g = 2 * s + 1
-        shape = (g, g, g) + _block_shape(y.shape[2], u.shape[2])
-        blocks = (_sixth_moment_sums(u, y, s) / u.shape[0]).reshape(shape)
-        return cls(blocks=blocks, s=s)
+        """The sixth-moment half of :func:`estimate_moments`."""
+        return estimate_moments(dataset, s)[0]
+
+
+def estimate_moments(dataset, s: int):
+    """(MomentTensor6, CrossCovarianceStack) of a Dataset, from one pass over it."""
+    u, y = _arrays(dataset, s)
+    (n, _, p), m, g = u.shape, y.shape[2], 2 * s + 1
+    sums, cross = _sixth_moment_sums(u, y, s)
+    tensor = MomentTensor6(blocks=(sums / n).reshape((g, g, g) + (m, p) * 3), s=s)
+    rhat = unflatten_markov(cross / n, m, p)
+    return tensor, CrossCovarianceStack(blocks=tuple(np.hsplit(rhat, g)), assembled=rhat, s=s)
 
 
 @dataclass(frozen=True)

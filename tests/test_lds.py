@@ -97,6 +97,29 @@ def test_dataset_checks():
             L.Dataset(**kwargs)
 
 
+def test_dataset_finiteness_check():
+    """A nan or an inf in the last entry is found; p = 0 is accepted; and
+    checking read-only arrays makes no elementwise temporary (a bool array
+    of u's shape alone would take 720 KB)."""
+    u, y = np.zeros((20_000, 18, 2)), np.zeros((20_000, 18, 2))
+    u.setflags(write=False)
+    y.setflags(write=False)
+    tracemalloc.start()
+    try:
+        L.Dataset(u=u, y=y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    for value in (np.nan, np.inf, -np.inf):
+        for name in ("u", "y"):
+            arrays = {"u": np.zeros((2, 3, 1)), "y": np.zeros((2, 3, 1))}
+            arrays[name][-1, -1, -1] = value
+            with pytest.raises(DataError, match="non-finite"):
+                L.Dataset(**arrays)
+    assert L.Dataset(u=np.zeros((2, 3, 0)), y=np.zeros((2, 3, 1))).u.shape == (2, 3, 0)
+
+
 # ---------- simulation vs closed form ----------
 
 def test_simulate_one_step_delay():

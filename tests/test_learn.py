@@ -218,6 +218,22 @@ def test_learn_mixture_checks_the_horizon_before_the_moment_pass(monkeypatch):
         L.learn_mixture(ds, 1, 1, 2.0, np.random.default_rng(0))
 
 
+def test_learn_mixture_reads_the_dataset_once(monkeypatch, benchmark_mixture):
+    """The sixth-moment grid and the cross-covariance stack come from one
+    pass: the helper that hands the estimators a dataset's arrays runs once."""
+    calls = []
+    arrays = L.moments._arrays
+
+    def counting(*args):
+        calls.append(1)
+        return arrays(*args)
+
+    monkeypatch.setattr(L.moments, "_arrays", counting)
+    ds = L.sample_mixture_dataset(benchmark_mixture, 200, 15, L.NoiseConfig(seed=3))
+    L.learn_mixture(ds, 2, 2, 2, np.random.default_rng(4))
+    assert len(calls) == 1
+
+
 def test_a_failed_restart_does_not_keep_the_dataset_alive(monkeypatch, benchmark_mixture):
     """The decomposition keeps the last restart's error to re-raise; were its
     traceback kept too, its frames would hold learn_mixture's Dataset in a

@@ -23,7 +23,8 @@ def scalar_mixture(a, d, weight=1.0, **kw):
 # ---------- cross-covariance ----------
 
 def test_cross_covariance_single_trajectory_is_outer_product():
-    ds = L.Dataset(u=[[[1.0], [2.0], [5.0]]], y=[[[3.0], [4.0], [6.0]]])
+    pad = [[0.0]] * 6  # length 9 = min_trajectory_length(1)
+    ds = L.Dataset(u=[[[1.0], [2.0], [5.0]] + pad], y=[[[3.0], [4.0], [6.0]] + pad])
     stack = L.CrossCovarianceStack.estimate(ds, 1)
     assert np.allclose(stack.blocks[0], [[3.0]])
     assert np.allclose(stack.blocks[1], [[4.0]])
@@ -62,8 +63,33 @@ def test_cross_covariance_errors():
         L.CrossCovarianceStack.estimate([], 1)
     with pytest.raises(DataError, match="Dataset"):
         L.CrossCovarianceStack.estimate([L.Trajectory(u=[[1.0]] * 3, y=[[3.0]] * 3)], 1)
-    with pytest.raises(DataError, match="need length >= 3"):
+    with pytest.raises(DataError, match="need length >= 9"):
         L.CrossCovarianceStack.estimate(L.Dataset(u=[[[1.0]]], y=[[[1.0]]]), 1)
+
+
+@given(s=st.integers(0, 3), m=st.integers(1, 2), p=st.integers(1, 2))
+def test_every_estimator_applies_the_one_length_rule(s, m, p):
+    """At length 6s+2 both estimators, and learn_mixture for s >= 1, raise
+    the same DataError; at 6s+3 both estimators run."""
+    need = L.min_trajectory_length(s)
+    message = moments.too_short_message(need - 1, need)
+    rng = np.random.default_rng(s)
+
+    def dataset(length):
+        return L.Dataset(u=rng.standard_normal((2, length, p)),
+                         y=rng.standard_normal((2, length, m)))
+
+    short = dataset(need - 1)
+    calls = [MomentTensor6.estimate, L.CrossCovarianceStack.estimate]
+    if s >= 1:
+        calls.append(lambda ds, s: L.learn_mixture(ds, 1, 1, s, np.random.default_rng(0)))
+    for call in calls:
+        with pytest.raises(DataError) as info:
+            call(short, s)
+        assert str(info.value) == message
+    full = dataset(need)
+    assert MomentTensor6.estimate(full, s).blocks.shape == (2 * s + 1,) * 3 + (m, p) * 3
+    assert L.CrossCovarianceStack.estimate(full, s).assembled.shape == (m, (2 * s + 1) * p)
 
 
 # ---------- sixth moment blocks ----------
@@ -108,20 +134,28 @@ def test_sixth_moment_of_a_strided_view_equals_a_contiguous_copy():
     copy = L.Dataset(u=np.ascontiguousarray(view.u), y=np.ascontiguousarray(view.y))
     assert np.array_equal(MomentTensor6.estimate(view, 1).blocks,
                           MomentTensor6.estimate(copy, 1).blocks)
+    assert np.array_equal(L.CrossCovarianceStack.estimate(view, 1).assembled,
+                          L.CrossCovarianceStack.estimate(copy, 1).assembled)
 
 
 def test_sixth_moment_across_the_real_chunk_boundary():
     """N = _CHUNK + 3 at the module's own chunk: the last chunk uses the
-    first 3 columns of every buffer sized for a full chunk."""
+    first 3 columns of every buffer sized for a full chunk.  The Rhat sums
+    taken from row 0 of the same pair slab agree with the direct einsum too."""
     rng = np.random.default_rng(9)
     n_traj, s = moments._CHUNK + 3, 1
     ds = L.Dataset(u=rng.standard_normal((n_traj, 9, 2)), y=rng.standard_normal((n_traj, 9, 2)))
-    grid = MomentTensor6.estimate(ds, s)
+    grid, stack = moments.estimate_moments(ds, s)
     absolute = L.Dataset(u=np.abs(ds.u), y=np.abs(ds.y))
     for k1, k2, k3 in itertools.product(range(2 * s + 1), repeat=3):
         mean = oracles.estimate_sixth_moment_block(ds, k1, k2, k3)
         summands = oracles.estimate_sixth_moment_block(absolute, k1, k2, k3)
         assert np.all(np.abs(grid.block(k1, k2, k3) - mean) <= 1e-12 * summands)
+    assert len(stack.blocks) == 2 * s + 1
+    for k1, block in enumerate(stack.blocks):
+        mean = oracles.estimate_cross_covariance(ds, k1)
+        summands = oracles.estimate_cross_covariance(absolute, k1)
+        assert np.all(np.abs(block - mean) <= 1e-12 * summands)
 
 
 def test_exact_sixth_moment_feedthrough_cube():
