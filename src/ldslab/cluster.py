@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DataError, NumericalError
 from .lds import Dataset, LdsParams, MixtureSpec, Trajectory, require_dataset, require_mixture
@@ -53,10 +53,12 @@ def log_likelihoods(params: LdsParams, u: np.ndarray, y: np.ndarray,
         except np.linalg.LinAlgError as exc:
             raise NumericalError("innovation covariance is not positive definite") from exc
         innov = y[:, t] - x @ c.T - u_t @ d.T
-        white = solve_triangular(chol, innov.T, lower=True)
+        # numpy's solve stays in this thread; scipy's triangular solve hands even
+        # a 4-by-4 system to an OpenBLAS worker whose hand-off time varies.
+        white = np.linalg.solve(chol, innov.T)
         total -= np.log(np.diag(chol)).sum() + 0.5 * np.einsum("ji,ji->i", white, white)
         # With G = L^-1 C P: filtered mean x + K e = x + white^T G, P - K C P = P - G^T G.
-        gain = solve_triangular(chol, c @ cov, lower=True)
+        gain = np.linalg.solve(chol, c @ cov)
         x = (x + white.T @ gain) @ a.T + u_t @ b.T
         cov = a @ (cov - gain.T @ gain) @ a.T + var * np.eye(n)
         cov = 0.5 * (cov + cov.T)

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DimensionError
-from .lds import require_dataset
+from .lds import all_finite, require_dataset
 
 __all__ = [
     "CrossCovarianceStack",
@@ -52,8 +52,9 @@ __all__ = [
 # Trajectories are reduced chunk-by-chunk in fixed order.  The chunk bounds
 # the length of any accumulation run and the working memory of the pass:
 # the pair slab, the y and u buffers and one outer product take
-# 8 * _CHUNK * ((4s+3)q + (6s+3)m + (4s+3)p + (mp)^2) bytes.
-_CHUNK = 8192
+# 8 * _CHUNK * ((4s+3)q + (6s+3)m + (4s+3)p + (mp)^2) bytes, 34 MB at
+# q = 112 (m = p = 4, s = 3) and 4.7 MB at q = 20 (m = p = s = 2).
+_CHUNK = 2048
 
 
 def min_trajectory_length(s: int) -> int:
@@ -142,7 +143,7 @@ class MomentTensor6:
             raise DimensionError("blocks", f"expected ({g},{g},{g},m,p,m,p,m,p) grid")
         if b.shape[3:] != b.shape[3:5] * 3:
             raise DimensionError("blocks", f"inconsistent block shape {b.shape[3:]}")
-        if not np.all(np.isfinite(b)):
+        if not all_finite(b):
             raise DataError("sixth-moment blocks contain non-finite entries")
         object.__setattr__(self, "blocks", b)
 
@@ -168,7 +169,8 @@ def estimate_moments(dataset, s: int):
     u, y = _arrays(dataset, s)
     (n, _, p), m, g = u.shape, y.shape[2], 2 * s + 1
     sums, cross = _sixth_moment_sums(u, y, s)
-    tensor = MomentTensor6(blocks=(sums / n).reshape((g, g, g) + (m, p) * 3), s=s)
+    sums /= n
+    tensor = MomentTensor6(blocks=sums.reshape((g, g, g) + (m, p) * 3), s=s)
     rhat = unflatten_markov(cross / n, m, p)
     return tensor, CrossCovarianceStack(blocks=tuple(np.hsplit(rhat, g)), assembled=rhat, s=s)
 
@@ -187,7 +189,7 @@ class FlatTensor3:
         d = np.asarray(self.data, dtype=float)
         if d.shape != (q, q, q):
             raise DimensionError("data", f"expected shape {(q, q, q)}, got {d.shape}")
-        if not np.all(np.isfinite(d)):
+        if not all_finite(d):
             raise DataError("flattened tensor contains non-finite entries")
         object.__setattr__(self, "data", d)
 
@@ -223,7 +225,8 @@ def symmetrize_tensor3(t: np.ndarray) -> np.ndarray:
     out = t.copy()
     for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
         out += t.transpose(perm)
-    return out / 6.0
+    out /= 6.0
+    return out
 
 
 def unflatten_markov(vec: np.ndarray, m: int, p: int) -> np.ndarray:

@@ -174,7 +174,8 @@ def jennrich_decompose(t: np.ndarray, r: int, rng: np.random.Generator) -> tuple
             # locals (the learner's Dataset) alive in a cycle until a full GC.
             last_error = exc.with_traceback(None)
             continue
-        residual = float(np.linalg.norm(t - reconstruct(*factors)))
+        diff = reconstruct(*factors)
+        residual = float(np.linalg.norm(np.subtract(t, diff, out=diff)))
         if residual < best_residual:
             best, best_residual = factors, residual
     if best is None:

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -232,6 +233,29 @@ def test_learn_mixture_reads_the_dataset_once(monkeypatch, benchmark_mixture):
     ds = L.sample_mixture_dataset(benchmark_mixture, 200, 15, L.NoiseConfig(seed=3))
     L.learn_mixture(ds, 2, 2, 2, np.random.default_rng(4))
     assert len(calls) == 1
+
+
+def test_learn_working_set_is_bounded_by_the_chunk_not_by_n():
+    """At q = 112 (m = p = 4, s = 3) and N = 2 chunks + 3, the traced peak of
+    learn_mixture above its dataset stays under one 2048-trajectory chunk's
+    buffers, 8 * 2048 * ((4s+3)q + (6s+3)m + (4s+3)p + (mp)^2) bytes, plus
+    two q^3 grids and 1 MB: about 58 MB.  Buffers sized by N (or by a
+    larger chunk) take about 80 MB here."""
+    m = p = 4
+    s = 3
+    q = (2 * s + 1) * m * p
+    chunk = 2048
+    rng = np.random.default_rng(5)
+    mix = L.random_mixture(2, (m, 3, p), rng)
+    ds = L.sample_mixture_dataset(mix, 2 * chunk + 3, 21, L.NoiseConfig(seed=6))
+    buffers = 8 * chunk * ((4 * s + 3) * q + (6 * s + 3) * m + (4 * s + 3) * p + (m * p) ** 2)
+    tracemalloc.start()
+    try:
+        L.learn_mixture(ds, 2, 3, s, np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + 2 * 8 * q**3 + 2**20
 
 
 def test_a_failed_restart_does_not_keep_the_dataset_alive(monkeypatch, benchmark_mixture):

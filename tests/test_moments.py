@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,37 @@ def test_symmetrize_noop_on_exact_tensor():
     sym = L.symmetrize_tensor3(t)
     assert np.allclose(sym, sym.transpose(1, 0, 2))
     assert np.allclose(sym, sym.transpose(2, 1, 0))
+    # dividing by 6 in place keeps the bits of the out-of-place mean
+    mean = (t + t.transpose(0, 2, 1) + t.transpose(1, 0, 2) + t.transpose(1, 2, 0)
+            + t.transpose(2, 0, 1) + t.transpose(2, 1, 0)) / 6.0
+    assert sym.tobytes() == mean.tobytes()
+
+
+def test_moment_containers_find_non_finite_entries_without_a_bool_grid():
+    """A nan or an inf in the last entry of a sixth-moment grid or a flattened
+    tensor is a DataError; a finite one is checked with no elementwise
+    temporary (the bool array of a q = 48 grid alone takes 110 KB)."""
+    s, m, p = 1, 4, 4
+    q = (2 * s + 1) * m * p
+    blocks = np.zeros((3, 3, 3) + (m, p) * 3)
+    data = np.zeros((q, q, q))
+    tracemalloc.start()
+    try:
+        MomentTensor6(blocks=blocks, s=s)
+        L.FlatTensor3(data=data, s=s, m=m, p=p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    for value in (np.nan, np.inf, -np.inf):
+        bad = blocks.copy()
+        bad.reshape(-1)[-1] = value
+        with pytest.raises(DataError, match="non-finite"):
+            MomentTensor6(blocks=bad, s=s)
+        bad = data.copy()
+        bad.reshape(-1)[-1] = value
+        with pytest.raises(DataError, match="non-finite"):
+            L.FlatTensor3(data=bad, s=s, m=m, p=p)
 
 
 def test_cross_covariance_is_sixth_moment_contraction_in_expectation():

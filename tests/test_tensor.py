@@ -143,12 +143,19 @@ def test_residual_non_increasing_in_rank():
 
 
 def test_least_squares_exact_residual():
+    """The residual, taken in the array reconstruct returns, is the norm of t
+    minus the reconstruction in every bit: at rounding level on an exact
+    rank-2 tensor, and on one that no two terms fit."""
     rng = np.random.default_rng(13)
     x, y, z = (random_factors(5, 2, rng) for _ in range(3))
     t = np.einsum("ir,jr,kr->ijk", x, y, z)
     factors, residual = L.jennrich_decompose(t, 2, np.random.default_rng(14))
     assert residual == float(np.linalg.norm(t - L.reconstruct(*factors)))
     assert residual <= 1e-10
+    noisy = t + 0.05 * rng.standard_normal(t.shape)
+    factors, residual = L.jennrich_decompose(noisy, 2, np.random.default_rng(14))
+    assert residual == float(np.linalg.norm(noisy - L.reconstruct(*factors)))
+    assert residual > 0.05
 
 
 # ---------- reconstruction helpers ----------
