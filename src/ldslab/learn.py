@@ -168,7 +168,9 @@ def learn_mixture(dataset, k: int, n: int, s: int, rng: np.random.Generator) -> 
     of s, k and n are checked before the moment pass: all three are integers,
     Ho-Kalman needs s >= 1 and 1 <= n <= s min(m, p), and the decomposition
     1 <= k <= q = (2s+1)mp.  Only one q^3 moment grid is kept at a time: the
-    sixth-moment grid is dropped once :func:`assemble_pi` has flattened it.
+    sixth-moment grid is dropped once :func:`assemble_pi` has flattened it,
+    and the flattening once :func:`learn_mixture_from_moments` has
+    symmetrized it.
     """
     k, n, s = require_int(k, "k"), require_int(n, "n"), require_int(s, "s")
     if s < 1:
@@ -182,9 +184,11 @@ def learn_mixture(dataset, k: int, n: int, s: int, rng: np.random.Generator) -> 
     if n < 1 or n > min(m * s, p * s):
         raise DataError(f"state dimension n={n} out of range for ms={m*s}, ps={p*s}")
     tensor, rhat = estimate_moments(dataset, s)
-    flat = assemble_pi(tensor)
+    flat = [assemble_pi(tensor)]
     del tensor
-    return learn_mixture_from_moments(flat, rhat, k, n, s, rng)
+    # passed as a temporary, the flattened grid's only reference is then
+    # learn_mixture_from_moments' own, which it drops once symmetrized
+    return learn_mixture_from_moments(flat.pop(), rhat, k, n, s, rng)
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,17 @@ together over 0 <= k1,k2,k3 <= 2s and flattening (y, u) index pairs
 yields a third-order tensor whose rank-one components are the flattened
 per-component Markov matrices.
 
-Both come from one pass over the trajectories.  Every factor of the
-sixth moment is a pair y[i+d] (x) u[i] with 0 <= i <= 4s+2 and
-0 <= d <= 2s, so the pass first builds the pair slab
+Both come from one pass over the trajectories, B at a time, with the
+trajectory axis last.  With j = k1+k2+2, the summand of block (k1, k2, k3)
+splits into a j-side and a k1-side factor,
 
-    pair[i, d*(m*p) + row*p + col, b] = y[b, i+d, row] * u[b, i, col]
+    left_j[k3]  = y[j+k3] (x) u[j] (x) y[j-1]
+    right[k1]   = u[k1+1] (x) y[k1] (x) u[0]
 
-of shape (4s+3, (2s+1)*m*p, B) for a chunk of B trajectories, which lie
-on the last, contiguous axis.  The three factors of block (k1, k2, k3)
-are pair[0] at d = k1, pair[k1+1] at d = k2 and pair[k1+k2+2] at d = k3,
-so one GEMM per (k1, k2) covers every k3.  Row 0 of the slab is also
-Rhat's summand: pair[0, d*(m*p) + row*p + col, b] = y[b, d, row] u[b, 0, col].
+so for each 2 <= j <= 4s+2 one GEMM of left_j, a (q*m, B) block, with the
+rows of right for every k1 on the anti-diagonal k1+k2 = j-2 covers all
+their blocks: 4s+1 GEMMs per chunk.  Rhat's summand y[k1] (x) u[0] is the
+inner factor of right[k1].
 
 Flattening convention, fixed everywhere: a Markov matrix block X_k maps
 to vector indices k*(m*p) + row*p + col.
@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DimensionError
 from .lds import all_finite, require_dataset
@@ -51,9 +50,10 @@ __all__ = [
 
 # Trajectories are reduced chunk-by-chunk in fixed order.  The chunk bounds
 # the length of any accumulation run and the working memory of the pass:
-# the pair slab, the y and u buffers and one outer product take
-# 8 * _CHUNK * ((4s+3)q + (6s+3)m + (4s+3)p + (mp)^2) bytes, 34 MB at
-# q = 112 (m = p = 4, s = 3) and 4.7 MB at q = 20 (m = p = s = 2).
+# the y and u buffers and the factors of the GEMMs take
+# 8 * _CHUNK * (q(m+p+1) + (6s+3)m + (4s+3)p + mp) bytes, 19 MB at
+# q = 112 (m = p = 4, s = 3) and 2.6 MB at q = 20 (m = p = s = 2), beside
+# one GEMM product of at most 8 q^2 mp bytes.
 _CHUNK = 2048
 
 
@@ -95,36 +95,38 @@ class CrossCovarianceStack:
 def _sixth_moment_sums(u, y, s):
     """Sums over trajectories of the six-fold products on the whole grid: a
     (g, g, g*mp, mp*mp) array indexed [k1, k2, (k3, y3, u3), (y2, u2, y1, u1)]
-    with g = 2s+1, which reshapes directly into the block grid, and of row 0
-    of the pair slab: a g*mp vector in the v(G) flattening."""
+    with g = 2s+1, which reshapes directly into the block grid, and of Rhat's
+    summands y[d] (x) u[0]: a g*mp vector in the v(G) flattening."""
     (n, _, m), p = y.shape, u.shape[2]
-    mp, g, width = m * p, 2 * s + 1, 4 * s + 3
+    mp, g = m * p, 2 * s + 1
+    q = g * mp
     batch = min(n, _CHUNK)
-    sums, cross = np.zeros((g, g, g * mp, mp * mp)), np.zeros(g * mp)
-    ybuf = np.empty((6 * s + 3, m, batch))
-    ubuf = np.empty((width, p, batch))
-    slab = np.empty((width, g, m, p, batch))
-    outer = np.empty((mp, mp, batch))
-    prod = np.empty((g * mp, mp * mp))
+    sums, cross = np.zeros((g, g, q, mp * mp)), np.zeros(q)
+    bufs = [np.empty(shape + (batch,)) for shape in (
+        (6 * s + 3, m), (4 * s + 3, p), (g, m, p), (g, p, m, p), (p, m), (g, m, p, m))]
+    prod = np.empty(q * m * q * p)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         bsz = hi - lo
-        yb, ub = ybuf[..., :bsz], ubuf[..., :bsz]
+        yb, ub, head, right, mid, left = (b[..., :bsz] for b in bufs)
         np.copyto(yb, y[lo:hi, : 6 * s + 3].transpose(1, 2, 0))
-        np.copyto(ub, u[lo:hi, :width].transpose(1, 2, 0))
-        # windows[i, d, row, b] = y[b, i+d, row]
-        windows = sliding_window_view(yb, g, axis=0).transpose(0, 3, 1, 2)
-        np.multiply(windows[:, :, :, None], ub[:, None, None], out=slab[..., :bsz])
-        pair = slab[..., :bsz].reshape(width, g * mp, bsz)
-        cross += pair[0].sum(axis=1)
-        block = outer[..., :bsz]
-        for k1 in range(g):
-            o1 = pair[0, k1 * mp:(k1 + 1) * mp]
-            for k2 in range(g):
-                o2 = pair[k1 + 1, k2 * mp:(k2 + 1) * mp]
-                np.multiply(o2[:, None], o1[None], out=block)
-                np.matmul(pair[k1 + k2 + 2], block.reshape(mp * mp, bsz).T, out=prod)
-                sums[k1, k2] += prod
+        np.copyto(ub, u[lo:hi, : 4 * s + 3].transpose(1, 2, 0))
+        # head[k1] = y[k1] (x) u[0], Rhat's summand; right[k1] = u[k1+1] (x) head[k1]
+        np.multiply(yb[:g, :, None], ub[0, None], out=head)
+        cross += head.reshape(q, bsz).sum(axis=1)
+        np.multiply(ub[1 : g + 1, :, None, None], head[:, None], out=right)
+        for j in range(2, 2 * g + 1):
+            # left[k3] = y[j+k3] (x) u[j] (x) y[j-1], times right[k1] for the
+            # k1 in [first, stop) of the blocks (k1, j-2-k1) on the grid
+            first, stop = max(0, j - 1 - g), min(g, j - 1)
+            np.multiply(ub[j, :, None], yb[j - 1, None], out=mid)
+            np.multiply(yb[j : j + g, :, None, None], mid, out=left)
+            out = prod[: q * m * (stop - first) * p * mp].reshape(q * m, -1)
+            np.matmul(left.reshape(q * m, bsz), right[first:stop].reshape(-1, bsz).T, out=out)
+            out = out.reshape(q, m, stop - first, p * mp)
+            for k1 in range(first, stop):
+                block = sums[k1, j - 2 - k1].reshape(q, m, p * mp)
+                block += out[:, :, k1 - first]
     return sums, cross
 
 

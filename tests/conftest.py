@@ -3,6 +3,7 @@ import os
 import pytest
 from hypothesis import settings
 
+import ldslab
 from ldslab.io import load_mixture
 
 # Property tests draw the same examples on every run (reproducibility
@@ -11,6 +12,17 @@ settings.register_profile("ldslab", derandomize=True, deadline=None)
 settings.load_profile("ldslab")
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def children_import_this_ldslab():
+    """Tests that start ``python -m ldslab.cli`` in a child interpreter run
+    the ldslab under test, also when pytest found it through its
+    ``pythonpath`` setting rather than through PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ldslab.__file__)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

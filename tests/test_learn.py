@@ -238,9 +238,11 @@ def test_learn_mixture_reads_the_dataset_once(monkeypatch, benchmark_mixture):
 def test_learn_working_set_is_bounded_by_the_chunk_not_by_n():
     """At q = 112 (m = p = 4, s = 3) and N = 2 chunks + 3, the traced peak of
     learn_mixture above its dataset stays under one 2048-trajectory chunk's
-    buffers, 8 * 2048 * ((4s+3)q + (6s+3)m + (4s+3)p + (mp)^2) bytes, plus
-    two q^3 grids and 1 MB: about 58 MB.  Buffers sized by N (or by a
-    larger chunk) take about 80 MB here."""
+    buffers, 8 * 2048 * (q(m+p+1) + (6s+3)m + (4s+3)p + mp) bytes, plus two
+    q^3 grids and 1 MB: about 42.7 MB.  The decomposition holds three q^3
+    arrays (34 MB); a fourth, such as the unsymmetrized grid kept alive
+    through it, or buffers sized by N (or by a larger chunk) exceed the
+    bound."""
     m = p = 4
     s = 3
     q = (2 * s + 1) * m * p
@@ -248,7 +250,7 @@ def test_learn_working_set_is_bounded_by_the_chunk_not_by_n():
     rng = np.random.default_rng(5)
     mix = L.random_mixture(2, (m, 3, p), rng)
     ds = L.sample_mixture_dataset(mix, 2 * chunk + 3, 21, L.NoiseConfig(seed=6))
-    buffers = 8 * chunk * ((4 * s + 3) * q + (6 * s + 3) * m + (4 * s + 3) * p + (m * p) ** 2)
+    buffers = 8 * chunk * (q * (m + p + 1) + (6 * s + 3) * m + (4 * s + 3) * p + m * p)
     tracemalloc.start()
     try:
         L.learn_mixture(ds, 2, 3, s, np.random.default_rng(7))

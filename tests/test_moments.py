@@ -142,7 +142,7 @@ def test_sixth_moment_of_a_strided_view_equals_a_contiguous_copy():
 def test_sixth_moment_across_the_real_chunk_boundary():
     """N = _CHUNK + 3 at the module's own chunk: the last chunk uses the
     first 3 columns of every buffer sized for a full chunk.  The Rhat sums
-    taken from row 0 of the same pair slab agree with the direct einsum too."""
+    taken from the same chunk buffers agree with the direct einsum too."""
     rng = np.random.default_rng(9)
     n_traj, s = moments._CHUNK + 3, 1
     ds = L.Dataset(u=rng.standard_normal((n_traj, 9, 2)), y=rng.standard_normal((n_traj, 9, 2)))
@@ -197,6 +197,9 @@ def test_exact_sixth_moment_matrix_structure():
 )
 # a block whose mean nearly cancels (|mean| 3e-6): its rounding exceeds 1e-12 |mean|
 @example(m=1, p=1, s=2, n_traj=11, chunk=1, extra=2, seed=779)
+# g = 7 with m != p: every anti-diagonal group size 1..g and both ends of its
+# k1 range, with a last chunk of 3
+@example(m=2, p=3, s=3, n_traj=11, chunk=4, extra=1, seed=24)
 def test_moment_grid_matches_per_block_estimates(m, p, s, n_traj, chunk, extra, seed):
     """The chunked grid kernel agrees with the direct per-block einsum,
     across chunk boundaries and a partial last chunk."""
