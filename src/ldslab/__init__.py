@@ -46,7 +46,6 @@ from .learn import (
 )
 from .moments import (
     CrossCovarianceStack,
-    FlatTensor3,
     MomentTensor6,
     assemble_pi,
     min_trajectory_length,

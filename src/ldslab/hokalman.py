@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .errors import DataError, DimensionError, RankDeficiencyWarning
-from .lds import LdsParams, markov_matrix
+from .lds import LdsParams, all_finite, markov_matrix
 from .tensor import truncated_pinv
 
 __all__ = ["build_hankel", "ho_kalman", "realization_residual"]
@@ -77,6 +77,8 @@ def ho_kalman(g: np.ndarray, s: int, n: int) -> LdsParams:
     g, m, p = _split_blocks(g, s)
     if s < 1:
         raise DataError("s must be >= 1")
+    if not all_finite(g):
+        raise DataError("Markov matrix contains non-finite entries")
     d_hat = g[:, :p].copy()
     h = build_hankel(g, s)
     h_minus = h[:, : p * s]

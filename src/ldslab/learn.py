@@ -1,10 +1,12 @@
 """End-to-end mixture learning and similarity-aligned evaluation.
 
 Pipeline: estimate the sixth-moment grid and the cross-covariance stack
-in one pass, flatten the grid, decompose it into k rank-one terms, read
-off scaled Markov matrices Gtilde_i ~ w_i^(1/3) G_i, regress the stack on
-them to get wtilde_i ~ w_i^(2/3), rescale (Ghat_i = Gtilde_i /
-sqrt(wtilde_i), what_i = wtilde_i^(3/2)), and realize each by Ho-Kalman.
+in one pass, flatten the grid into a q*q*q array and symmetrize it,
+decompose that into k rank-one terms, read off scaled Markov matrices
+Gtilde_i ~ w_i^(1/3) G_i, regress the stack on them to get
+wtilde_i ~ w_i^(2/3), rescale (Ghat_i = Gtilde_i / sqrt(wtilde_i),
+what_i = wtilde_i^(3/2)), and realize each by Ho-Kalman.  The stages hand
+each other plain arrays.
 
 The result is a :class:`LearnedMixture`: a :class:`~ldslab.lds.MixtureSpec`
 with unit noise plus the pipeline's diagnostics.  Learned parameters are
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DataError, NumericalError
+from .errors import DataError, DimensionError, NumericalError
 from .hokalman import ho_kalman
 from .lds import (
     MixtureSpec,
@@ -31,7 +33,6 @@ from .lds import (
 )
 from .moments import (
     CrossCovarianceStack,
-    FlatTensor3,
     assemble_pi,
     estimate_moments,
     symmetrize_tensor3,
@@ -59,8 +60,9 @@ GRAM_RTOL = 1e-10
 COND_FLAG = 1e8
 
 
-def learn_markov_components(flat: FlatTensor3, k: int, rng: np.random.Generator):
-    """Recover Gtilde_i ~ w_i^(1/3) G_i from the flattened moment tensor.
+def learn_markov_components(t: np.ndarray, k: int, m: int, p: int, rng: np.random.Generator):
+    """Recover Gtilde_i ~ w_i^(1/3) G_i, each m-by-(2s+1)p, from the symmetric
+    q*q*q moment tensor t, q = (2s+1)mp.
 
     Runs the rank-k decomposition and turns each term (f1, f2, f3) into
     its signed mode-1 vector vhat_i = f1 ||f2|| ||f3||, negated when
@@ -71,7 +73,7 @@ def learn_markov_components(flat: FlatTensor3, k: int, rng: np.random.Generator)
     Frobenius norms ``tensor_residual`` of the decomposition's residual
     and ``tensor_norm`` of the tensor.
     """
-    (f1, f2, f3), residual = jennrich_decompose(flat.data, k, rng)
+    (f1, f2, f3), residual = jennrich_decompose(t, k, rng)
     gtilde = []
     for i in range(k):
         a, b, c = f1[:, i], f2[:, i], f3[:, i]
@@ -81,11 +83,8 @@ def learn_markov_components(flat: FlatTensor3, k: int, rng: np.random.Generator)
         norm = np.linalg.norm(vhat)
         if norm == 0:
             raise NumericalError("zero-norm rank-one component")
-        gtilde.append(unflatten_markov(vhat / norm ** (2.0 / 3.0), flat.m, flat.p))
-    details = {
-        "tensor_residual": residual,
-        "tensor_norm": float(np.linalg.norm(flat.data)),
-    }
+        gtilde.append(unflatten_markov(vhat / norm ** (2.0 / 3.0), m, p))
+    details = {"tensor_residual": residual, "tensor_norm": float(np.linalg.norm(t))}
     return gtilde, details
 
 
@@ -130,19 +129,25 @@ class LearnedMixture(MixtureSpec):
 
 
 def learn_mixture_from_moments(
-    flat: FlatTensor3, rhat: CrossCovarianceStack, k: int, n: int, s: int, rng: np.random.Generator
+    t: np.ndarray, rhat: CrossCovarianceStack, k: int, n: int, s: int, rng: np.random.Generator
 ) -> LearnedMixture:
-    """Run the pipeline on already-computed moment statistics.
+    """Run the pipeline on already-computed moment statistics: the symmetric
+    q*q*q tensor t, q = (2s+1)mp, and the m-by-(2s+1)p stack Rhat.
 
     This is the oracle entry point: feeding exact moments recovers the
-    mixture up to similarity transforms and floating-point error.  The
-    tensor is symmetrized first (its population value is symmetric, so
-    this is a pure variance reduction and a no-op on exact moments).
+    mixture up to similarity transforms and floating-point error.  Exact
+    tensors are symmetric already; estimated ones go through
+    :func:`symmetrize_tensor3` first, as in :func:`learn_mixture`.
     """
-    flat = FlatTensor3(
-        data=symmetrize_tensor3(flat.data), s=flat.s, m=flat.m, p=flat.p
-    )
-    gtilde, details = learn_markov_components(flat, k, rng)
+    g = 2 * s + 1
+    m, width = np.shape(rhat.assembled)
+    if width % g != 0:
+        raise DimensionError("rhat", f"width {width} is not a multiple of 2s+1={g}")
+    p = width // g
+    q = g * m * p
+    if np.shape(t) != (q, q, q):
+        raise DimensionError("t", f"expected shape {(q, q, q)}, got {np.shape(t)}")
+    gtilde, details = learn_markov_components(t, k, m, p, rng)
     wtilde, winfo = recover_weights(gtilde, rhat)
     # Undo the weight scaling: Ghat_i = Gtilde_i / sqrt(wtilde_i), and the
     # weights wtilde_i^(3/2) renormalized; recover_weights floors wtilde > 0.
@@ -167,10 +172,9 @@ def learn_mixture(dataset, k: int, n: int, s: int, rng: np.random.Generator) -> 
     :class:`LearnedMixture`, usable wherever a MixtureSpec is.  The ranges
     of s, k and n are checked before the moment pass: all three are integers,
     Ho-Kalman needs s >= 1 and 1 <= n <= s min(m, p), and the decomposition
-    1 <= k <= q = (2s+1)mp.  Only one q^3 moment grid is kept at a time: the
-    sixth-moment grid is dropped once :func:`assemble_pi` has flattened it,
-    and the flattening once :func:`learn_mixture_from_moments` has
-    symmetrized it.
+    1 <= k <= q = (2s+1)mp.  The sixth-moment grid and its flattening are
+    dropped once :func:`symmetrize_tensor3` has averaged the flattening; the
+    decomposition sees the symmetric tensor alone.
     """
     k, n, s = require_int(k, "k"), require_int(n, "n"), require_int(s, "s")
     if s < 1:
@@ -183,12 +187,10 @@ def learn_mixture(dataset, k: int, n: int, s: int, rng: np.random.Generator) -> 
         raise DataError(f"rank r={k} exceeds tensor dimension q={q}")
     if n < 1 or n > min(m * s, p * s):
         raise DataError(f"state dimension n={n} out of range for ms={m*s}, ps={p*s}")
-    tensor, rhat = estimate_moments(dataset, s)
-    flat = [assemble_pi(tensor)]
-    del tensor
-    # passed as a temporary, the flattened grid's only reference is then
-    # learn_mixture_from_moments' own, which it drops once symmetrized
-    return learn_mixture_from_moments(flat.pop(), rhat, k, n, s, rng)
+    grid, rhat = estimate_moments(dataset, s)
+    t = symmetrize_tensor3(assemble_pi(grid))
+    del grid
+    return learn_mixture_from_moments(t, rhat, k, n, s, rng)
 
 
 @dataclass(frozen=True)

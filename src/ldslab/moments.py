@@ -10,8 +10,9 @@ whose expectations are, respectively, sum_j w_j X_{j,k1} and
 sum_j w_j X_{j,k3} (x) X_{j,k2} (x) X_{j,k1}, where X_{j,l} is the l-th
 Markov parameter of component j.  Piecing the sixth-moment blocks
 together over 0 <= k1,k2,k3 <= 2s and flattening (y, u) index pairs
-yields a third-order tensor whose rank-one components are the flattened
-per-component Markov matrices.
+(:func:`assemble_pi`) yields a plain q*q*q array, q = (2s+1)mp, whose
+rank-one components are the flattened per-component Markov matrices;
+:func:`symmetrize_tensor3` averages it over its six mode orders.
 
 Both come from one pass over the trajectories, B at a time, with the
 trajectory axis last.  With j = k1+k2+2, the summand of block (k1, k2, k3)
@@ -40,7 +41,6 @@ from .lds import all_finite, require_dataset
 __all__ = [
     "CrossCovarianceStack",
     "MomentTensor6",
-    "FlatTensor3",
     "assemble_pi",
     "estimate_moments",
     "symmetrize_tensor3",
@@ -81,9 +81,7 @@ def _arrays(dataset, s: int):
 class CrossCovarianceStack:
     """Blocks Rhat[0..2s] side by side: assembled is m-by-(2s+1)p."""
 
-    blocks: tuple
     assembled: np.ndarray
-    s: int
 
     @classmethod
     def estimate(cls, dataset, s: int) -> "CrossCovarianceStack":
@@ -173,48 +171,20 @@ def estimate_moments(dataset, s: int):
     sums, cross = _sixth_moment_sums(u, y, s)
     sums /= n
     tensor = MomentTensor6(blocks=sums.reshape((g, g, g) + (m, p) * 3), s=s)
-    rhat = unflatten_markov(cross / n, m, p)
-    return tensor, CrossCovarianceStack(blocks=tuple(np.hsplit(rhat, g)), assembled=rhat, s=s)
+    return tensor, CrossCovarianceStack(assembled=unflatten_markov(cross / n, m, p))
 
 
-@dataclass(frozen=True)
-class FlatTensor3:
-    """Order-3 flattening of the sixth-moment grid, q = (2s+1)*m*p."""
-
-    data: np.ndarray
-    s: int
-    m: int
-    p: int
-
-    def __post_init__(self):
-        q = (2 * self.s + 1) * self.m * self.p
-        d = np.asarray(self.data, dtype=float)
-        if d.shape != (q, q, q):
-            raise DimensionError("data", f"expected shape {(q, q, q)}, got {d.shape}")
-        if not all_finite(d):
-            raise DataError("flattened tensor contains non-finite entries")
-        object.__setattr__(self, "data", d)
-
-    @property
-    def q(self) -> int:
-        return (2 * self.s + 1) * self.m * self.p
-
-
-def assemble_pi(blocks: MomentTensor6) -> FlatTensor3:
-    """Flatten the block grid into a q*q*q tensor.
+def assemble_pi(blocks: MomentTensor6) -> np.ndarray:
+    """Flatten the block grid into a q*q*q array, q = (2s+1)*m*p.
 
     Mode 1 indexes (k3, y-row, u-col) of the third measurement pair,
     mode 2 the (k2, ...) pair and mode 3 the (k1, ...) pair, each with
     the block flattening k*(m*p) + row*p + col.  On exact blocks the
     result equals sum_i w_i v(G_i) (x) v(G_i) (x) v(G_i).
     """
-    bb = blocks.blocks
-    g = 2 * blocks.s + 1
-    m, p = blocks.m, blocks.p
-    q = g * m * p
+    q = (2 * blocks.s + 1) * blocks.m * blocks.p
     # axes (k1,k2,k3, r3,c3, r2,c2, r1,c1) -> (k3,r3,c3, k2,r2,c2, k1,r1,c1)
-    flat = bb.transpose(2, 3, 4, 1, 5, 6, 0, 7, 8).reshape(q, q, q)
-    return FlatTensor3(data=flat, s=blocks.s, m=m, p=p)
+    return blocks.blocks.transpose(2, 3, 4, 1, 5, 6, 0, 7, 8).reshape(q, q, q)
 
 
 def symmetrize_tensor3(t: np.ndarray) -> np.ndarray:

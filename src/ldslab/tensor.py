@@ -4,7 +4,8 @@ Given T approximately equal to a sum of r rank-one terms with linearly
 independent factors, two random mode-3 contractions T^(a), T^(b) share
 the factor matrices; the eigenvectors of T_r^(a) (T_r^(b))^+ and of
 ((T_r^(a))^+ T_r^(b))^T recover the mode-1 and mode-2 factors, matched
-through (approximately) reciprocal eigenvalues, and the mode-3 factors
+through (approximately) reciprocal eigenvalues by the assignment of
+least total |lam*mu - 1| (Kuhn's Hungarian method), and the mode-3 factors
 come out of a single linear least-squares solve.
 
 A decomposition is three q*r factor matrices (f1, f2, f3): column i of
@@ -15,8 +16,10 @@ of a term is arbitrary.
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, EigenPairingError, NumericalError
+from .lds import all_finite
 
 __all__ = [
     "PAIR_TOL",
@@ -82,26 +85,14 @@ def _top_eigenpairs(mat: np.ndarray, r: int):
 
 
 def _pair_reciprocal(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Match lam[i] to mu[j] greedily by smallest |lam*mu - 1|.
+    """Match lam[i] to mu[perm[i]] with the least total |lam*mu - 1|.
 
-    Returns perm with mu[perm[i]] paired to lam[i]; raises
-    :class:`EigenPairingError` if any accepted pair misses PAIR_TOL.
+    Returns perm; raises :class:`EigenPairingError` if any matched pair
+    misses PAIR_TOL.
     """
-    r = len(lam)
     cost = np.abs(np.outer(lam, mu) - 1.0)
-    order = np.argsort(cost, axis=None, kind="stable")
-    perm = np.full(r, -1)
-    used_j = np.zeros(r, dtype=bool)
-    residual = np.full(r, np.inf)
-    for flat in order:
-        i, j = divmod(int(flat), r)
-        if perm[i] >= 0 or used_j[j]:
-            continue
-        perm[i] = j
-        used_j[j] = True
-        residual[i] = cost[i, j]
-        if np.all(perm >= 0):
-            break
+    rows, perm = linear_sum_assignment(cost)
+    residual = cost[rows, perm]
     if np.any(residual > PAIR_TOL):
         raise EigenPairingError(
             f"eigenvalue pairing failed: residuals {residual!r} exceed {PAIR_TOL}",
@@ -152,11 +143,15 @@ def jennrich_decompose(t: np.ndarray, r: int, rng: np.random.Generator) -> tuple
     draws are made and the one with the smallest residual is returned.
     A draw fails when its eigenvalues pair worse than PAIR_TOL or its
     factors are numerically rank deficient; the failure propagates only
-    if every draw fails.  Deterministic given (t, r, generator state).
+    if every draw fails.  A tensor with a nan or an inf is a DataError, and
+    one whose residual is not finite in any draw a NumericalError.
+    Deterministic given (t, r, generator state).
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 3 or len(set(t.shape)) != 1:
         raise DataError(f"expected a cubic order-3 tensor, got shape {t.shape}")
+    if not all_finite(t):
+        raise DataError("tensor contains non-finite entries")
     q = t.shape[0]
     if r < 1:
         raise DataError("rank r must be >= 1")
@@ -179,7 +174,7 @@ def jennrich_decompose(t: np.ndarray, r: int, rng: np.random.Generator) -> tuple
         if residual < best_residual:
             best, best_residual = factors, residual
     if best is None:
-        raise last_error
+        raise last_error or NumericalError("decomposition residual is not finite in any restart")
     return best, best_residual
 
 

@@ -56,9 +56,9 @@ def exact_cross_covariance(mix, k1):
 
 
 def exact_cross_covariance_stack(mix, s):
-    """The population ``CrossCovarianceStack``: blocks k1 = 0..2s."""
-    blocks = tuple(exact_cross_covariance(mix, k1) for k1 in range(2 * s + 1))
-    return L.CrossCovarianceStack(blocks=blocks, assembled=np.hstack(blocks), s=s)
+    """The population ``CrossCovarianceStack``: blocks k1 = 0..2s side by side."""
+    blocks = [exact_cross_covariance(mix, k1) for k1 in range(2 * s + 1)]
+    return L.CrossCovarianceStack(assembled=np.hstack(blocks))
 
 
 def exact_sixth_moment_block(mix, k1, k2, k3):
@@ -85,7 +85,8 @@ def exact_moment_tensor(mix, s):
 
 def exact_moments(mix, s):
     """(flattened sixth-moment tensor, cross-covariance stack) at population
-    values: the moment inputs of ``learn_mixture_from_moments``."""
+    values: the moment inputs of ``learn_mixture_from_moments``.  The
+    population tensor is symmetric, so it needs no symmetrization."""
     return L.assemble_pi(exact_moment_tensor(mix, s)), exact_cross_covariance_stack(mix, s)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 import ldslab as L
 import oracles
-from ldslab import tensor
+from ldslab import learn, tensor
 
 FLOWS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "flows.py")
 
@@ -25,6 +25,22 @@ class RecordingTracer:
     def wrap(self, owner, attr, name, aggregate=False):
         assert hasattr(owner, attr), f"perfbench wraps {owner.__name__}.{attr}, which is gone"
         self.wrapped.append((owner.__name__, attr))
+
+
+def count_calls(monkeypatch, module, names):
+    """Patch each named attribute of ``module`` with a wrapper that counts its
+    calls; returns the name -> count dict the wrappers update."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
 
 
 def load_flows(monkeypatch):
@@ -48,22 +64,27 @@ def test_restart_counts_come_from_the_decomposition(monkeypatch, benchmark_mixtu
     and ``tensor.restart_successes`` as reconstruct calls: one learn on exact
     moments must make two contractions and one reconstruction per restart, and
     no reconstruction of its own."""
-    calls = {"contract_mode3": 0, "reconstruct": 0}
-
-    def counting(name):
-        inner = getattr(tensor, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        return wrapper
-
     s = 2
     flat, rhat = oracles.exact_moments(benchmark_mixture, s)
-    for name in calls:
-        monkeypatch.setattr(tensor, name, counting(name))
+    calls = count_calls(monkeypatch, tensor, ("contract_mode3", "reconstruct"))
     L.learn_mixture_from_moments(flat, rhat, benchmark_mixture.k, 2, s, np.random.default_rng(0))
     assert calls == {"contract_mode3": 2 * tensor.RESTARTS, "reconstruct": tensor.RESTARTS}
+
+
+def test_one_learn_calls_every_learn_stage_the_benchmark_wraps(monkeypatch, benchmark_mixture):
+    """perfbench times the learn stages by wrapping their names in
+    ``ldslab.learn``'s namespace.  A learn that stopped calling one of them
+    through that namespace would only show as a per-layer metric that reads 0,
+    so one learn_mixture on a small paper-mixture dataset must call each."""
+    stages = ("assemble_pi", "symmetrize_tensor3", "learn_mixture_from_moments",
+              "learn_markov_components", "jennrich_decompose", "recover_weights", "ho_kalman")
+    tracer = RecordingTracer()
+    load_flows(monkeypatch).wrap_layers(tracer)
+    assert {("ldslab.learn", name) for name in stages} <= set(tracer.wrapped)
+    ds = L.sample_mixture_dataset(benchmark_mixture, 2000, 15, L.NoiseConfig(seed=8))
+    calls = count_calls(monkeypatch, learn, stages)
+    learn.learn_mixture(ds, 2, 2, 2, np.random.default_rng(9))
+    assert all(calls.values()), calls
 
 
 def test_the_benchmark_library_flow_runs_and_its_checks_pass(monkeypatch, tmp_path):

@@ -169,3 +169,13 @@ def test_order_bounds_checked():
         L.ho_kalman(g, 2, 3)  # n > min(ms, ps)
     with pytest.raises(DataError):
         L.ho_kalman(g, 2, 0)
+
+
+def test_non_finite_markov_matrix_is_rejected_before_lapack():
+    """A nan reached LAPACK as "SVD did not converge"; nan and inf are a
+    DataError before the Hankel SVD."""
+    for value in (np.nan, np.inf, -np.inf):
+        g = np.ones((2, 10))
+        g[1, 7] = value
+        with pytest.raises(DataError, match="non-finite"):
+            L.ho_kalman(g, 2, 2)

@@ -11,8 +11,7 @@ from scipy.optimize import linear_sum_assignment
 
 import ldslab as L
 import oracles
-from ldslab.errors import DataError, NumericalError
-from ldslab.moments import FlatTensor3
+from ldslab.errors import DataError, DimensionError, NumericalError
 
 
 def scalar_params(a, b=1.0, c=1.0, d=0.0):
@@ -23,16 +22,16 @@ def scalar_params(a, b=1.0, c=1.0, d=0.0):
 
 def test_scalar_s0_feedthrough():
     # single scalar component d=2, s=0: tensor is [w * d^3] = [8]
-    flat = FlatTensor3(data=np.full((1, 1, 1), 8.0), s=0, m=1, p=1)
-    gtilde, _ = L.learn_markov_components(flat, 1, np.random.default_rng(0))
+    gtilde, _ = L.learn_markov_components(np.full((1, 1, 1), 8.0), 1, 1, 1,
+                                          np.random.default_rng(0))
     assert np.allclose(gtilde[0], [[2.0]])
 
 
 def test_single_component_exact_recovery():
     rng = np.random.default_rng(1)
     mix = L.MixtureSpec(components=(L.random_lds((2, 2, 2), rng),), weights=[1.0])
-    flat, _ = oracles.exact_moments(mix, 2)
-    gtilde, _ = L.learn_markov_components(flat, 1, np.random.default_rng(2))
+    t, _ = oracles.exact_moments(mix, 2)
+    gtilde, _ = L.learn_markov_components(t, 1, 2, 2, np.random.default_rng(2))
     g = L.markov_matrix(mix.components[0], 4)
     assert np.linalg.norm(gtilde[0] - g, "fro") <= 1e-8
 
@@ -50,15 +49,15 @@ def test_two_component_exact_recovery_with_matching(seed, k, m, p, s):
             L.random_mixture(k, (m, 2, p), np.random.default_rng(seed), min_gamma=0.5, s=s)
         return
     mix = L.random_mixture(k, (m, 2, p), np.random.default_rng(seed), min_gamma=0.5, s=s)
-    flat, _ = oracles.exact_moments(mix, s)
-    t, q = flat.data, flat.q
+    t, _ = oracles.exact_moments(mix, s)
+    q = t.shape[0]
     scale = np.linalg.norm(t)
     for axes in itertools.permutations(range(3)):
         assert np.linalg.norm(t - t.transpose(axes)) <= 1e-12 * scale
     sv = np.linalg.svd(t.reshape(q, q * q), compute_uv=False)
     assert np.all(sv[k:] <= 1e-10 * sv[0])
 
-    gtilde, details = L.learn_markov_components(flat, k, np.random.default_rng(seed + 1))
+    gtilde, details = L.learn_markov_components(t, k, m, p, np.random.default_rng(seed + 1))
     truths = [
         w ** (1.0 / 3.0) * L.markov_matrix(c, 2 * s)
         for w, c in zip(mix.weights, mix.components)
@@ -70,9 +69,8 @@ def test_two_component_exact_recovery_with_matching(seed, k, m, p, s):
 
 
 def test_learn_markov_rejects_bad_rank():
-    flat = FlatTensor3(data=np.zeros((2, 2, 2)), s=0, m=1, p=2)
     with pytest.raises(DataError):
-        L.learn_markov_components(flat, 3, np.random.default_rng(0))
+        L.learn_markov_components(np.zeros((2, 2, 2)), 3, 1, 2, np.random.default_rng(0))
 
 
 # ---------- weight regression ----------
@@ -106,14 +104,14 @@ def test_recover_weights_orthogonal_closed_form():
     g1 = np.array([[1.0, 0.0, 0.0]])
     g2 = np.array([[0.0, 2.0, 0.0]])
     assembled = 0.25 * g1 + 0.5 * g2
-    rhat = L.CrossCovarianceStack(blocks=(assembled[:, :1],), assembled=assembled, s=1)
+    rhat = L.CrossCovarianceStack(assembled=assembled)
     wtilde, _ = L.recover_weights([g1, g2], rhat)
     assert np.allclose(wtilde, [0.25, 0.5])
 
 
 def test_recover_weights_clamps_negative():
     g = np.array([[1.0, 0.0]])
-    rhat = L.CrossCovarianceStack(blocks=(np.array([[-1.0]]),), assembled=-g, s=0)
+    rhat = L.CrossCovarianceStack(assembled=-g)
     wtilde, info = L.recover_weights([g], rhat)
     assert wtilde[0] == pytest.approx(1e-6)
     assert info["clamped"][0]
@@ -122,12 +120,26 @@ def test_recover_weights_clamps_negative():
 
 def test_recover_weights_collinear_error():
     g = np.array([[1.0, 0.5]])
-    rhat = L.CrossCovarianceStack(blocks=(np.array([[1.0]]),), assembled=g, s=0)
+    rhat = L.CrossCovarianceStack(assembled=g)
     with pytest.raises(NumericalError):
         L.recover_weights([g, g.copy()], rhat)
 
 
 # ---------- full pipeline ----------
+
+def test_learn_from_moments_checks_the_tensor_against_rhat(benchmark_mixture):
+    """m and p come from Rhat, which must hold 2s+1 blocks; the tensor must
+    then be q*q*q with q = (2s+1)mp."""
+    t, rhat = oracles.exact_moments(benchmark_mixture, 2)
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimensionError, match="^t: expected shape \\(20, 20, 20\\)"):
+        L.learn_mixture_from_moments(t[:-1, :-1, :-1], rhat, 2, 2, 2, rng)
+    with pytest.raises(DimensionError, match="^t: "):
+        L.learn_mixture_from_moments(t.reshape(20, 400), rhat, 2, 2, 2, rng)
+    short = L.CrossCovarianceStack(assembled=rhat.assembled[:, :-1])
+    with pytest.raises(DimensionError, match="^rhat: width 9 is not a multiple of 2s\\+1=5"):
+        L.learn_mixture_from_moments(t, short, 2, 2, 2, rng)
+
 
 def test_oracle_pipeline_recovers_mixture():
     hits = 0

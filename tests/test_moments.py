@@ -27,8 +27,8 @@ def test_cross_covariance_single_trajectory_is_outer_product():
     pad = [[0.0]] * 6  # length 9 = min_trajectory_length(1)
     ds = L.Dataset(u=[[[1.0], [2.0], [5.0]] + pad], y=[[[3.0], [4.0], [6.0]] + pad])
     stack = L.CrossCovarianceStack.estimate(ds, 1)
-    assert np.allclose(stack.blocks[0], [[3.0]])
-    assert np.allclose(stack.blocks[1], [[4.0]])
+    assert np.allclose(stack.assembled[:, 0:1], [[3.0]])
+    assert np.allclose(stack.assembled[:, 1:2], [[4.0]])
 
 
 def test_exact_cross_covariance_is_weighted_markov_sum():
@@ -49,13 +49,15 @@ def test_exact_cross_covariance_cancellation():
 
 
 def test_cross_covariance_stack_blocks_match_assembled():
+    """Column block j of the assembled stack is the lag-j estimate."""
     rng = np.random.default_rng(3)
     mix = L.random_mixture(2, (2, 2, 2), rng)
     ds = L.sample_mixture_dataset(mix, 200, 18, L.NoiseConfig(seed=4))
     stack = L.CrossCovarianceStack.estimate(ds, 2)
-    p = mix.dims[2]
-    for j, block in enumerate(stack.blocks):
-        assert np.array_equal(stack.assembled[:, j * p : (j + 1) * p], block)
+    m, _, p = mix.dims
+    assert stack.assembled.shape == (m, 5 * p)
+    for j in range(5):
+        block = stack.assembled[:, j * p : (j + 1) * p]
         assert np.allclose(block, oracles.estimate_cross_covariance(ds, j))
 
 
@@ -152,8 +154,9 @@ def test_sixth_moment_across_the_real_chunk_boundary():
         mean = oracles.estimate_sixth_moment_block(ds, k1, k2, k3)
         summands = oracles.estimate_sixth_moment_block(absolute, k1, k2, k3)
         assert np.all(np.abs(grid.block(k1, k2, k3) - mean) <= 1e-12 * summands)
-    assert len(stack.blocks) == 2 * s + 1
-    for k1, block in enumerate(stack.blocks):
+    assert stack.assembled.shape == (2, (2 * s + 1) * 2)
+    for k1 in range(2 * s + 1):
+        block = stack.assembled[:, 2 * k1 : 2 * k1 + 2]
         mean = oracles.estimate_cross_covariance(ds, k1)
         summands = oracles.estimate_cross_covariance(absolute, k1)
         assert np.all(np.abs(block - mean) <= 1e-12 * summands)
@@ -257,7 +260,7 @@ def test_assemble_exact_rank_one_for_single_component():
     rng = np.random.default_rng(9)
     mix = L.MixtureSpec(components=(L.random_lds((2, 2, 2), rng),), weights=[1.0])
     flat = L.assemble_pi(oracles.exact_moment_tensor(mix, 1))
-    unfold = flat.data.reshape(flat.q, -1)
+    unfold = flat.reshape(flat.shape[0], -1)
     sv = np.linalg.svd(unfold, compute_uv=False)
     assert sv[1] <= 1e-10 * sv[0]
 
@@ -265,7 +268,7 @@ def test_assemble_exact_rank_one_for_single_component():
 def test_assemble_scalar_s0_is_feedthrough_cube():
     mix = scalar_mixture(0.0, d=2.0)
     flat = L.assemble_pi(oracles.exact_moment_tensor(mix, 0))
-    assert flat.q == 1 and np.allclose(flat.data.ravel(), [8.0])
+    assert flat.shape == (1, 1, 1) and np.allclose(flat.ravel(), [8.0])
 
 
 def test_assemble_matches_weighted_outer_cubes():
@@ -273,11 +276,11 @@ def test_assemble_matches_weighted_outer_cubes():
     mix = L.random_mixture(2, (2, 2, 2), rng)
     s = 2
     flat = L.assemble_pi(oracles.exact_moment_tensor(mix, s))
-    expect = np.zeros_like(flat.data)
+    expect = np.zeros_like(flat)
     for w, comp in zip(mix.weights, mix.components):
         v = oracles.flatten_markov(L.markov_matrix(comp, 2 * s), comp.p)
         expect += w * np.einsum("i,j,k->ijk", v, v, v)
-    assert np.max(np.abs(flat.data - expect)) <= 1e-12
+    assert np.max(np.abs(flat - expect)) <= 1e-12
 
 
 def test_assemble_exact_symmetric_rank_bounded_by_k():
@@ -286,7 +289,7 @@ def test_assemble_exact_symmetric_rank_bounded_by_k():
         k = int(rng.integers(1, 4))
         mix = L.random_mixture(k, (2, 2, 2), rng, min_gamma=0.05)
         flat = L.assemble_pi(oracles.exact_moment_tensor(mix, 1))
-        sv = np.linalg.svd(flat.data.reshape(flat.q, -1), compute_uv=False)
+        sv = np.linalg.svd(flat.reshape(flat.shape[0], -1), compute_uv=False)
         assert np.sum(sv > 1e-8 * sv[0]) <= k
 
 
@@ -317,7 +320,7 @@ def test_symmetrize_noop_on_exact_tensor():
     rng = np.random.default_rng(12)
     mix = L.random_mixture(2, (2, 2, 2), rng)
     flat = L.assemble_pi(oracles.exact_moment_tensor(mix, 1))
-    assert np.max(np.abs(L.symmetrize_tensor3(flat.data) - flat.data)) <= 1e-12
+    assert np.max(np.abs(L.symmetrize_tensor3(flat) - flat)) <= 1e-12
     t = rng.standard_normal((4, 4, 4))
     sym = L.symmetrize_tensor3(t)
     assert np.allclose(sym, sym.transpose(1, 0, 2))
@@ -329,9 +332,11 @@ def test_symmetrize_noop_on_exact_tensor():
 
 
 def test_moment_containers_find_non_finite_entries_without_a_bool_grid():
-    """A nan or an inf in the last entry of a sixth-moment grid or a flattened
-    tensor is a DataError; a finite one is checked with no elementwise
-    temporary (the bool array of a q = 48 grid alone takes 110 KB)."""
+    """A nan or an inf in the last entry of a sixth-moment grid or of the
+    decomposition's input tensor is a DataError; a finite one is checked with
+    no elementwise temporary (the bool array of a q = 48 grid alone takes
+    110 KB).  The decomposition checks its input before its rank bounds, so a
+    rank of 0 stops it right after the check."""
     s, m, p = 1, 4, 4
     q = (2 * s + 1) * m * p
     blocks = np.zeros((3, 3, 3) + (m, p) * 3)
@@ -339,7 +344,8 @@ def test_moment_containers_find_non_finite_entries_without_a_bool_grid():
     tracemalloc.start()
     try:
         MomentTensor6(blocks=blocks, s=s)
-        L.FlatTensor3(data=data, s=s, m=m, p=p)
+        with pytest.raises(DataError, match="rank r must be >= 1"):
+            L.jennrich_decompose(data, 0, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -352,7 +358,7 @@ def test_moment_containers_find_non_finite_entries_without_a_bool_grid():
         bad = data.copy()
         bad.reshape(-1)[-1] = value
         with pytest.raises(DataError, match="non-finite"):
-            L.FlatTensor3(data=bad, s=s, m=m, p=p)
+            L.jennrich_decompose(bad, 1, np.random.default_rng(0))
 
 
 def test_cross_covariance_is_sixth_moment_contraction_in_expectation():

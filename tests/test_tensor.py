@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import ldslab as L
 from ldslab.errors import DataError, EigenPairingError, NumericalError
-from ldslab.tensor import _pair_reciprocal
+from ldslab.tensor import PAIR_TOL, _pair_reciprocal
 
 
 def basis_cube(q, i, scale=1.0):
@@ -180,8 +182,48 @@ def test_rank_bounds_rejected():
         L.jennrich_decompose(np.zeros((3, 3, 2)), 1, np.random.default_rng(0))
 
 
-def test_pairing_failure_carries_eigenvalues():
+def test_non_finite_tensors_are_rejected_before_lapack():
+    """A nan reached LAPACK as "SVD did not converge"; an inf could spin in
+    the SVD for minutes.  Both are a DataError before any contraction."""
+    for value in (np.nan, np.inf, -np.inf):
+        t = np.ones((3, 3, 3))
+        t[0, 0, 0] = value
+        with pytest.raises(DataError, match="non-finite"):
+            L.jennrich_decompose(t, 1, np.random.default_rng(0))
+
+
+def test_overflowing_residual_is_a_numerical_error():
+    """Finite entries whose Frobenius norm overflows leave no restart with a
+    finite residual: a NumericalError (exit 4), not a bare ``raise None``."""
+    v = np.array([1.0, 2.0, 3.0])
+    t = 1e200 * np.einsum("i,j,k->ijk", v, v, v)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+        L.jennrich_decompose(t, 1, np.random.default_rng(0))
+
+
+@st.composite
+def reciprocal_spectra(draw):
+    """Well-separated nonzero eigenvalues lam (distinct signed powers of 1.5),
+    a permutation perm and mu = (1 / lam)[perm] (1 + eps), |eps| <= 1e-3."""
+    terms = draw(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(-12, 12)),
+                          min_size=1, max_size=6, unique=True))
+    lam = np.array([sign * 1.5**e for sign, e in terms])
+    perm = np.array(draw(st.permutations(range(len(lam)))))
+    eps = np.array(draw(st.lists(st.floats(-1e-3, 1e-3), min_size=len(lam),
+                                 max_size=len(lam))))
+    return lam, perm, (1.0 / lam)[perm] * (1.0 + eps)
+
+
+@given(spectra=reciprocal_spectra(), pushed=st.integers(0, 5))
+def test_pairing_inverts_the_permutation_or_reports_the_miss(spectra, pushed):
+    """mu[j] is the near-reciprocal of lam[perm[j]], so lam[i] pairs with
+    mu[argsort(perm)[i]].  Pushing one mu to 3 / min|lam| puts every pair it
+    could join past PAIR_TOL, which raises with both spectra and the misses."""
+    lam, perm, mu = spectra
+    assert np.array_equal(_pair_reciprocal(lam, mu), np.argsort(perm))
+    mu[pushed % len(mu)] = 3.0 / np.abs(lam).min()
     with pytest.raises(EigenPairingError) as err:
-        _pair_reciprocal(np.array([2.0, 3.0]), np.array([5.0, 7.0]))
-    assert len(err.value.left) == 2 and len(err.value.right) == 2
+        _pair_reciprocal(lam, mu)
+    assert err.value.left == list(lam) and err.value.right == list(mu)
     assert len(err.value.unmatched) >= 1
+    assert all(u > PAIR_TOL for u in err.value.unmatched)
