@@ -1,9 +1,10 @@
-"""Exception hierarchy shared by all ldslab modules.
+"""Exception hierarchy and the integer check shared by all ldslab modules.
 
 The CLI maps these onto process exit codes: usage problems exit 2,
 :class:`DataError` (and subclasses) exit 3, :class:`NumericalError`
 (and subclasses) exit 4.
 """
+import operator
 
 
 class LdsLabError(Exception):
@@ -42,6 +43,14 @@ class EigenPairingError(NumericalError):
         self.left = list(left)
         self.right = list(right)
         self.unmatched = list(unmatched)
+
+
+def require_int(value, name: str) -> int:
+    """``value`` as an int; a DataError naming ``name`` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DataError(f"{name} must be an integer, got {value!r}") from None
 
 
 class RankDeficiencyWarning(UserWarning):

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, require_int
 from .rng import substream  # noqa: F401  (kept as lds.substream: perfbench wraps it)
 from .rng import substream_draws
 
@@ -246,14 +246,6 @@ def require_dataset(obj) -> Dataset:
         raise DataError(f"expected a Dataset, got {type(obj).__name__}; "
                         "build one from arrays u (N, l, p) and y (N, l, m)")
     return obj
-
-
-def require_int(value, name: str) -> int:
-    """``value`` as an int; a DataError naming ``name`` if it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DataError(f"{name} must be an integer, got {value!r}") from None
 
 
 def require_mixture(obj) -> MixtureSpec:

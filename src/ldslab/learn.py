@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DataError, DimensionError, NumericalError
+from .errors import DataError, DimensionError, NumericalError, require_int
 from .hokalman import ho_kalman
 from .lds import (
     MixtureSpec,
     markov_matrix,
     observability_matrix,
     require_dataset,
-    require_int,
     require_mixture,
 )
 from .moments import (

@@ -15,15 +15,27 @@ state of ``substream(seed, i)`` (:func:`substream_states`) and the first
 ``random()`` draw of each (one PCG64 step and its XSL-RR output, O'Neill
 2014), bit for bit, without a ``SeedSequence`` or a ``Generator`` per
 index; only the normals come from numpy's ``Generator``.
+
+Before each row's normals the sampler sets its one ``PCG64`` to that
+row's state without the ``bitgen.state`` setter, which numpy validates in
+Python.  ``bitgen.ctypes.state_address`` is the address of the bit
+generator's state struct, whose first field points at the 128-bit state
+and increment; :func:`_state_words` views them as four uint64 words,
+which on a build with ``__uint128_t`` are state low, state high, inc low,
+inc high.  Each call writes one probe state through the view and checks
+it against the documented setter before it yields a row, and raises,
+naming numpy's version, if the two disagree, as they would on a build
+with the other word order.  This was checked on numpy 2.4.6.
 """
 from __future__ import annotations
 
+import ctypes
 import numbers
 import operator
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require_int
 
 __all__ = ["substream", "substream_states", "substream_draws"]
 
@@ -37,6 +49,8 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 # The index is one 32-bit spawn-key word; draws are made per chunk of _BATCH.
 MAX_SUBSTREAMS = 2**32
 _BATCH = 4096
+# The guard's PCG64 state and increment as view words, four distinct values.
+_PROBE = (0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x9E3779B97F4A7C15, 0x2545F4914F6CDD1D)
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -93,11 +107,12 @@ def substream_states(seed: int, start: int, stop: int) -> tuple:
     index, vectorized; then ``generate_state(4, uint64)`` and ``pcg64_set_seed``
     (pcg64.c): inc = 2 * initseq + 1, state = (inc + initstate) * MULT + inc.
     Raises DataError unless the seed is an integer >= 0 (the CLI's ``--seed``
-    rule) and 0 <= start <= stop <= 2**32.
+    rule), start and stop are integers and 0 <= start <= stop <= 2**32.
     """
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DataError(f"seed needs an integer >= 0, got {seed!r}")
     seed = operator.index(seed)
+    start, stop = require_int(start, "start"), require_int(stop, "stop")
     if not 0 <= start <= stop <= MAX_SUBSTREAMS:
         raise DataError(f"substream indices [{start}, {stop}) must lie in [0, {MAX_SUBSTREAMS}]")
     words = max(1, -(-seed.bit_length() // 32))
@@ -125,26 +140,48 @@ def substream_draws(seed: int, n_traj: int, width: int):
     holds what ``substream(seed, start + j)`` gives for one ``random()``
     (``uniforms[j]``) followed by one ``standard_normal(width)``
     (``normals[j]``).  ``normals`` is one buffer refilled for every chunk, so
-    each chunk must be used before the next is drawn.  The seed and n_traj
-    are checked here, before the caller allocates anything for the draws.
+    each chunk must be used before the next is drawn.  The seed, n_traj and
+    width are checked here, before the caller allocates anything for the
+    draws: each a DataError unless an integer >= 0 (n_traj at most 2**32).
     """
+    n_traj, width = require_int(n_traj, "n_traj"), require_int(width, "width")
+    if width < 0:
+        raise DataError(f"width must be >= 0, got {width}")
     substream_states(seed, n_traj, n_traj)
     return _draw_chunks(seed, n_traj, width)
+
+
+def _state_words(bitgen: np.random.PCG64) -> np.ndarray:
+    """The uint64 words of ``bitgen``'s PCG64 state and increment, as a view."""
+    address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
+
+
+def _check_words(bitgen: np.random.PCG64, words: np.ndarray) -> None:
+    """Raise unless the probe written through ``words`` is the state the setter gives."""
+    state_lo, state_hi, inc_lo, inc_hi = _PROBE
+    ref = np.random.PCG64(0)
+    ref.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                 "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}}
+    words[0], words[1], words[2], words[3] = _PROBE
+    if bitgen.state != ref.state or not np.array_equal(bitgen.random_raw(2), ref.random_raw(2)):
+        raise RuntimeError(
+            f"numpy {np.__version__} lays out the PCG64 state otherwise than ldslab "
+            "writes it (state low, state high, inc low, inc high)")
 
 
 def _draw_chunks(seed: int, n_traj: int, width: int):
     buffer = np.empty((min(n_traj, _BATCH), width))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    words = _state_words(bitgen)
+    _check_words(bitgen, words)
     for start in range(0, n_traj, _BATCH):
         state, inc = substream_states(seed, start, min(start + _BATCH, n_traj))
         state = _pcg_step(state, inc)  # the step random() takes
         normals = buffer[: len(inc[0])]
-        words = zip(normals, *(half.tolist() for half in (*state, *inc)))
-        for row, state_hi, state_lo, inc_hi, inc_lo in words:
-            pcg["state"], pcg["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
-            bitgen.state = full
+        rows = zip(normals, *(half.tolist() for half in (*state, *inc)))
+        for row, state_hi, state_lo, inc_hi, inc_lo in rows:
+            words[0], words[1], words[2], words[3] = state_lo, state_hi, inc_lo, inc_hi
             gen.standard_normal(out=row)
         yield start, _uniform(state), normals

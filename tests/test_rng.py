@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -42,6 +44,64 @@ def test_substream_draws_match_reference_across_batches(monkeypatch):
             gen = L.substream(2**70 + 3, start + j)
             assert uniforms[j] == gen.random()
             assert np.array_equal(normals[j], gen.standard_normal(5))
+
+
+def _rows(draws):
+    """(index, uniform, normals) of every row a ``substream_draws`` iterator yields."""
+    return [(start + j, uniforms[j], normals[j].copy())
+            for start, uniforms, normals in draws for j in range(len(uniforms))]
+
+
+@given(seed=SEEDS, batch=st.integers(1, 4), n_traj=st.integers(1, 9), width=st.integers(0, 7))
+def test_state_words_give_every_row_its_substream(seed, batch, n_traj, width):
+    """Each row, drawn after its state is written through the word view, is
+    substream(seed, i)'s random() followed by its standard_normal(width)."""
+    with mock.patch.object(R, "_BATCH", batch):
+        rows = _rows(R.substream_draws(seed, n_traj, width))
+    assert [i for i, _, _ in rows] == list(range(n_traj))
+    for i, uniform, normals in rows:
+        gen = L.substream(seed, i)
+        assert uniform == gen.random()
+        assert np.array_equal(normals, gen.standard_normal(width))
+
+
+def test_interleaved_draws_keep_their_own_states(monkeypatch):
+    """Each call writes into its own bit generator, so two iterators drawn in
+    turn give the rows each gives alone."""
+    monkeypatch.setattr(R, "_BATCH", 2)
+    alone = [_rows(R.substream_draws(seed, 5, 3)) for seed in (7, 2**130 + 1)]
+    first, second = R.substream_draws(7, 5, 3), R.substream_draws(2**130 + 1, 5, 3)
+    turns = [_rows([chunk]) for pair in zip(first, second) for chunk in pair]
+    for rows, ref in zip((sum(turns[0::2], []), sum(turns[1::2], [])), alone):
+        assert len(rows) == len(ref) == 5
+        for (i, uniform, normals), (i_ref, uniform_ref, normals_ref) in zip(rows, ref):
+            assert (i, uniform) == (i_ref, uniform_ref)
+            assert np.array_equal(normals, normals_ref)
+
+
+def test_word_order_guard_raises_before_the_first_chunk(monkeypatch):
+    """A view with the words in the wrong order fails the per-call probe
+    against the bitgen.state setter, before any row is drawn or yielded."""
+    view = R._state_words
+    monkeypatch.setattr(R, "_state_words", lambda bitgen: view(bitgen)[::-1])
+    draws = R.substream_draws(3, 5, 4)
+    with mock.patch.object(R, "substream_states", wraps=R.substream_states) as states:
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            next(draws)
+    states.assert_not_called()
+
+
+def test_counts_must_be_nonnegative_integers():
+    """Indices, counts and widths follow errors.require_int: a float or a
+    negative value is a DataError, not numpy's TypeError or ValueError."""
+    for start, stop in ((2.0, 3.5), (2, 3.0), (np.float64(1), 2), (-1, 2)):
+        with pytest.raises(DataError):
+            R.substream_states(1, start, stop)
+    for n_traj, width in ((3.0, 2), (3, -1), (3, 2.0), (-1, 2), ("3", 2)):
+        with pytest.raises(DataError):
+            R.substream_draws(1, n_traj, width)
+    assert R.substream_states(1, np.int64(2), np.uint32(4))[1][0].shape == (2,)
+    assert [len(u) for _, u, _ in R.substream_draws(1, np.int64(3), np.int8(0))] == [3]
 
 
 def test_seed_must_be_a_nonnegative_integer():
