@@ -45,12 +45,17 @@ class EigenPairingError(NumericalError):
         self.unmatched = list(unmatched)
 
 
-def require_int(value, name: str) -> int:
-    """``value`` as an int; a DataError naming ``name`` if it is not an integer."""
+def require_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int in [low, high] (no upper bound if ``high`` is None);
+    otherwise a DataError naming ``name``, the range and the value given."""
     try:
-        return operator.index(value)
+        checked = operator.index(value)
     except TypeError:
-        raise DataError(f"{name} must be an integer, got {value!r}") from None
+        checked = None
+    if checked is None or checked < low or (high is not None and checked > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise DataError(f"{name} must be an integer {bounds}, got {value!r}")
+    return checked
 
 
 class RankDeficiencyWarning(UserWarning):

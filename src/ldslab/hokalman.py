@@ -13,14 +13,11 @@ import warnings
 
 import numpy as np
 
-from .errors import DataError, DimensionError, RankDeficiencyWarning
-from .lds import LdsParams, all_finite, markov_matrix
+from .errors import DataError, DimensionError, RankDeficiencyWarning, require_int
+from .lds import LdsParams, all_finite, markov_matrix, numerical_rank
 from .tensor import truncated_pinv
 
 __all__ = ["build_hankel", "ho_kalman", "realization_residual"]
-
-# Relative threshold for the rank-vs-n warning on noisy Hankel input.
-HANKEL_RANK_RTOL = 1e-10
 
 
 def _split_blocks(g: np.ndarray, s: int):
@@ -42,8 +39,7 @@ def build_hankel(g: np.ndarray, s: int) -> np.ndarray:
     Block (i, j) holds X_{i+j+1} for 0 <= i < s, 0 <= j <= s, so equal
     block anti-diagonals are identical by construction.
     """
-    if s < 1:
-        raise DataError("s must be >= 1")
+    s = require_int(s, "s", 1)
     g, m, p = _split_blocks(g, s)
     h = np.empty((m * s, p * (s + 1)))
     for i in range(s):
@@ -74,9 +70,9 @@ def ho_kalman(g: np.ndarray, s: int, n: int) -> LdsParams:
     exactly (up to the usual similarity freedom) when G is the exact
     Markov matrix of an observable and controllable rank-n system.
     """
+    s = require_int(s, "s", 1)
     g, m, p = _split_blocks(g, s)
-    if s < 1:
-        raise DataError("s must be >= 1")
+    n = require_int(n, "n", 1, min(m * s, p * s))
     if not all_finite(g):
         raise DataError("Markov matrix contains non-finite entries")
     d_hat = g[:, :p].copy()
@@ -84,13 +80,11 @@ def ho_kalman(g: np.ndarray, s: int, n: int) -> LdsParams:
     h_minus = h[:, : p * s]
     h_plus = h[:, p:]
     u, sv, vt = _signed_svd(h_minus)
-    if n < 1 or n > min(m * s, p * s):
-        raise DataError(f"state dimension n={n} out of range for ms={m*s}, ps={p*s}")
-    numerical_rank = int(np.sum(sv > HANKEL_RANK_RTOL * sv[0])) if sv[0] > 0 else 0
-    if n > numerical_rank:
+    rank = numerical_rank(sv)
+    if n > rank:
         warnings.warn(
             f"requested order n={n} exceeds numerical Hankel rank "
-            f"{numerical_rank}; proceeding with the truncated SVD",
+            f"{rank}; proceeding with the truncated SVD",
             RankDeficiencyWarning,
             stacklevel=2,
         )
@@ -108,5 +102,6 @@ def realization_residual(g: np.ndarray, params: LdsParams, s: int) -> float:
 
     Similarity-invariant, hence the canonical fit metric for realizations.
     """
+    s = require_int(s, "s", 0)
     g, _, _ = _split_blocks(g, s)
     return float(np.linalg.norm(g - markov_matrix(params, 2 * s), "fro"))

@@ -305,12 +305,10 @@ def sample_mixture_dataset(
     (4096, n + length (p + n + m)) buffer of normals and its per-component
     gathers.
     """
-    n_traj, length = require_int(n_traj, "n_traj"), require_int(length, "length")
-    if n_traj < 1:
-        raise DataError("n_traj must be >= 1")
-    if length < 1:
-        raise DataError("length must be >= 1")
-    m, n, p = mix.dims
+    n_traj, length = require_int(n_traj, "n_traj", 1), require_int(length, "length", 1)
+    m, n, p = require_mixture(mix).dims
+    if not isinstance(noise, NoiseConfig):
+        raise DataError(f"expected a NoiseConfig, got {type(noise).__name__}")
     u_end, w_end = n + length * p, n + length * (p + n)
     draws = substream_draws(noise.seed, n_traj, w_end + length * m)
     cumw = np.cumsum(mix.weights)
@@ -337,11 +335,9 @@ def sample_mixture_dataset(
 
 def observability_matrix(params: LdsParams, s: int) -> np.ndarray:
     """Stack C, CA, ..., CA^(s-1) vertically: shape (s*m, n)."""
-    if s < 1:
-        raise DataError("s must be >= 1")
     rows = []
     block = params.c
-    for _ in range(s):
+    for _ in range(require_int(s, "s", 1)):
         rows.append(block)
         block = block @ params.a
     return np.vstack(rows)
@@ -349,23 +345,19 @@ def observability_matrix(params: LdsParams, s: int) -> np.ndarray:
 
 def controllability_matrix(params: LdsParams, s: int) -> np.ndarray:
     """Stack B, AB, ..., A^(s-1)B horizontally: shape (n, s*p)."""
-    if s < 1:
-        raise DataError("s must be >= 1")
     cols = []
     block = params.b
-    for _ in range(s):
+    for _ in range(require_int(s, "s", 1)):
         cols.append(block)
         block = params.a @ block
     return np.hstack(cols)
 
 
 def markov_matrix(params: LdsParams, big_t: int) -> np.ndarray:
-    """[D, CB, CAB, ..., CA^(T-1)B]: shape (m, (T+1)*p)."""
-    if big_t < 0:
-        raise DataError("T must be >= 0")
+    """[D, CB, CAB, ..., CA^(T-1)B] with T = ``big_t``: shape (m, (T+1)*p)."""
     blocks = [params.d]
     apow_b = params.b  # A^(j-1) B for the next block
-    for _ in range(big_t):
+    for _ in range(require_int(big_t, "big_t", 0)):
         blocks.append(params.c @ apow_b)
         apow_b = params.a @ apow_b
     return np.hstack(blocks)
@@ -379,13 +371,15 @@ def joint_nondegeneracy_gamma(mix: MixtureSpec, s: int) -> float:
     the flattened G_{i,s}, since ||sum_i c_i G_i||_F = ||K c||_2; it is 0
     when k exceeds the entries of G_{i,s}, as the columns are then dependent.
     """
+    s = require_int(s, "s", 0)
     cols = [markov_matrix(comp, s).ravel() for comp in mix.components]
     sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
     return float(sv[-1]) if len(sv) == mix.k else 0.0
 
 
-def _rank(mat: np.ndarray) -> int:
-    sv = np.linalg.svd(mat, compute_uv=False)
+def numerical_rank(sv: np.ndarray) -> int:
+    """The number of singular values ``sv`` (in descending order) above
+    RANK_RTOL times the largest: the rank every rank decision uses."""
     if sv.size == 0 or sv[0] == 0:
         return 0
     return int(np.sum(sv > RANK_RTOL * sv[0]))
@@ -400,7 +394,7 @@ def _rank_and_ratio(small: np.ndarray, big: np.ndarray, n: int):
     sv = np.linalg.svd(small, compute_uv=False)
     sigma_n = sv[min(n, len(sv)) - 1]
     ratio = np.linalg.svd(big, compute_uv=False)[0] / sigma_n if sigma_n > 0 else np.inf
-    return _rank(small) == n, sigma_n, ratio
+    return numerical_rank(sv) == n, sigma_n, ratio
 
 
 @dataclass(frozen=True)
@@ -448,18 +442,20 @@ def well_behaved_report(
     sigma_min(Q_{i,s}) <= sqrt(s)*kappa, which hold whenever the
     assumptions do; they do not gate ``ok``.
     """
-    n = mix.dims[1]
+    s = require_int(s, "s", 1)
+    m, n, p = require_mixture(mix).dims
     norms = {
         name: np.array([_spectral_norm(getattr(c, name)) for c in mix.components])
         for name in ("a", "b", "c", "d")
     }
+    # O_s and Q_s are the leading blocks of O_2s and Q_2s
     obs_rank_ok, sigma_min_obs, obs_ratio = (np.array(v) for v in zip(*(
-        _rank_and_ratio(observability_matrix(c, s), observability_matrix(c, 2 * s), n)
-        for c in mix.components
+        _rank_and_ratio(o[: s * m], o, n)
+        for o in (observability_matrix(c, 2 * s) for c in mix.components)
     )))
     ctrl_rank_ok, sigma_min_ctrl, ctrl_ratio = (np.array(v) for v in zip(*(
-        _rank_and_ratio(controllability_matrix(c, s), controllability_matrix(c, 2 * s), n)
-        for c in mix.components
+        _rank_and_ratio(q[:, : s * p], q, n)
+        for q in (controllability_matrix(c, 2 * s) for c in mix.components)
     )))
     measured_gamma = joint_nondegeneracy_gamma(mix, s)
     checks = {
@@ -530,6 +526,7 @@ def random_mixture(
     at parameter s reaches ``min_gamma``.  Gamma is 0 when k exceeds the
     (s+1)mp entries of G_{i,s}, so a positive ``min_gamma`` then raises at
     once."""
+    k, s = require_int(k, "k", 1), require_int(s, "s", 0)
     m, _, p = dims
     if min_gamma > 0 and k > (s + 1) * m * p:
         raise DataError(

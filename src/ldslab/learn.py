@@ -26,6 +26,7 @@ from .hokalman import ho_kalman
 from .lds import (
     MixtureSpec,
     markov_matrix,
+    numerical_rank,
     observability_matrix,
     require_dataset,
     require_mixture,
@@ -52,9 +53,6 @@ __all__ = [
 # Floor applied to negative regression weights; activating it is recorded
 # in the diagnostics since it only happens outside the guaranteed regime.
 WEIGHT_FLOOR = 1e-6
-# Relative sigma_min threshold below which the weight regression is
-# treated as singular (near-collinear recovered Markov matrices).
-GRAM_RTOL = 1e-10
 # Condition-number flag for similarity transforms.
 COND_FLAG = 1e8
 
@@ -101,7 +99,7 @@ def recover_weights(gtilde, rhat: CrossCovarianceStack):
             f"shape mismatch: Gtilde entries {design.shape[0]} vs Rhat {target.shape[0]}"
         )
     sv = np.linalg.svd(design, compute_uv=False)
-    if sv[-1] <= GRAM_RTOL * sv[0]:
+    if numerical_rank(sv) < design.shape[1]:
         raise NumericalError(
             "weight regression is singular: recovered Markov matrices are "
             "near-collinear (joint non-degeneracy violated); singular values "
@@ -138,6 +136,7 @@ def learn_mixture_from_moments(
     tensors are symmetric already; estimated ones go through
     :func:`symmetrize_tensor3` first, as in :func:`learn_mixture`.
     """
+    s = require_int(s, "s", 1)
     g = 2 * s + 1
     m, width = np.shape(rhat.assembled)
     if width % g != 0:
@@ -146,7 +145,7 @@ def learn_mixture_from_moments(
     q = g * m * p
     if np.shape(t) != (q, q, q):
         raise DimensionError("t", f"expected shape {(q, q, q)}, got {np.shape(t)}")
-    gtilde, details = learn_markov_components(t, k, m, p, rng)
+    gtilde, details = learn_markov_components(t, require_int(k, "k", 1, q), m, p, rng)
     wtilde, winfo = recover_weights(gtilde, rhat)
     # Undo the weight scaling: Ghat_i = Gtilde_i / sqrt(wtilde_i), and the
     # weights wtilde_i^(3/2) renormalized; recover_weights floors wtilde > 0.
@@ -175,17 +174,10 @@ def learn_mixture(dataset, k: int, n: int, s: int, rng: np.random.Generator) -> 
     dropped once :func:`symmetrize_tensor3` has averaged the flattening; the
     decomposition sees the symmetric tensor alone.
     """
-    k, n, s = require_int(k, "k"), require_int(n, "n"), require_int(s, "s")
-    if s < 1:
-        raise DataError("s must be >= 1")
+    s = require_int(s, "s", 1)
     m, p = require_dataset(dataset).y.shape[2], dataset.u.shape[2]
-    q = (2 * s + 1) * m * p
-    if k < 1:
-        raise DataError("rank r must be >= 1")
-    if k > q:
-        raise DataError(f"rank r={k} exceeds tensor dimension q={q}")
-    if n < 1 or n > min(m * s, p * s):
-        raise DataError(f"state dimension n={n} out of range for ms={m*s}, ps={p*s}")
+    k = require_int(k, "k", 1, (2 * s + 1) * m * p)
+    n = require_int(n, "n", 1, min(m * s, p * s))
     grid, rhat = estimate_moments(dataset, s)
     t = symmetrize_tensor3(assemble_pi(grid))
     del grid
@@ -244,7 +236,7 @@ def align_similarity(truth: MixtureSpec, learned: MixtureSpec, s: int) -> Alignm
         )
     if truth.dims != learned.dims:
         raise DataError(f"dims (m, n, p) differ: {truth.dims} vs {learned.dims}")
-    k = len(comp_true)
+    k, s = len(comp_true), require_int(s, "s", 1)
     g_true = [markov_matrix(c, 2 * s) for c in comp_true]
     g_est = [markov_matrix(c, 2 * s) for c in comp_est]
     cost = np.empty((k, k))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, require_int
 from .lds import all_finite, require_dataset
 
 __all__ = [
@@ -60,9 +60,7 @@ _CHUNK = 2048
 def min_trajectory_length(s: int) -> int:
     """Shortest trajectory the order-s estimators accept (s >= 0); the
     sixth-moment grid reads indices up to 6s+2."""
-    if s < 0:
-        raise DataError(f"s must be >= 0, got {s}")
-    return 6 * s + 3
+    return 6 * require_int(s, "s", 0) + 3
 
 
 def too_short_message(length: int, need: int) -> str:

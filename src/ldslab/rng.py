@@ -30,12 +30,10 @@ with the other word order.  This was checked on numpy 2.4.6.
 from __future__ import annotations
 
 import ctypes
-import numbers
-import operator
 
 import numpy as np
 
-from .errors import DataError, require_int
+from .errors import require_int
 
 __all__ = ["substream", "substream_states", "substream_draws"]
 
@@ -109,12 +107,9 @@ def substream_states(seed: int, start: int, stop: int) -> tuple:
     Raises DataError unless the seed is an integer >= 0 (the CLI's ``--seed``
     rule), start and stop are integers and 0 <= start <= stop <= 2**32.
     """
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DataError(f"seed needs an integer >= 0, got {seed!r}")
-    seed = operator.index(seed)
-    start, stop = require_int(start, "start"), require_int(stop, "stop")
-    if not 0 <= start <= stop <= MAX_SUBSTREAMS:
-        raise DataError(f"substream indices [{start}, {stop}) must lie in [0, {MAX_SUBSTREAMS}]")
+    seed = require_int(seed, "seed", 0)
+    start = require_int(start, "start", 0, MAX_SUBSTREAMS)
+    stop = require_int(stop, "stop", start, MAX_SUBSTREAMS)
     words = max(1, -(-seed.bit_length() // 32))
     const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) & 0xFFFFFFFF
     index = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
@@ -144,11 +139,9 @@ def substream_draws(seed: int, n_traj: int, width: int):
     width are checked here, before the caller allocates anything for the
     draws: each a DataError unless an integer >= 0 (n_traj at most 2**32).
     """
-    n_traj, width = require_int(n_traj, "n_traj"), require_int(width, "width")
-    if width < 0:
-        raise DataError(f"width must be >= 0, got {width}")
-    substream_states(seed, n_traj, n_traj)
-    return _draw_chunks(seed, n_traj, width)
+    seed = require_int(seed, "seed", 0)
+    n_traj = require_int(n_traj, "n_traj", 0, MAX_SUBSTREAMS)
+    return _draw_chunks(seed, n_traj, require_int(width, "width", 0))
 
 
 def _state_words(bitgen: np.random.PCG64) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DataError, EigenPairingError, NumericalError
+from .errors import DataError, EigenPairingError, NumericalError, require_int
 from .lds import all_finite
 
 __all__ = [
@@ -152,11 +152,7 @@ def jennrich_decompose(t: np.ndarray, r: int, rng: np.random.Generator) -> tuple
         raise DataError(f"expected a cubic order-3 tensor, got shape {t.shape}")
     if not all_finite(t):
         raise DataError("tensor contains non-finite entries")
-    q = t.shape[0]
-    if r < 1:
-        raise DataError("rank r must be >= 1")
-    if r > q:
-        raise DataError(f"rank r={r} exceeds tensor dimension q={q}")
+    r = require_int(r, "r", 1, t.shape[0])
 
     best = None
     best_residual = np.inf

@@ -291,11 +291,27 @@ def test_sampling_memory_is_the_dataset_plus_a_chunk(benchmark_mixture):
 
 def test_dataset_counts_must_be_integers():
     mix = L.MixtureSpec(components=(scalar_params(0.5),), weights=[1.0])
-    with pytest.raises(DataError, match="n_traj must be an integer, got 5.0"):
+    with pytest.raises(DataError, match="n_traj must be an integer >= 1, got 5.0"):
         L.sample_mixture_dataset(mix, 5.0, 18, L.NoiseConfig(seed=0))
-    with pytest.raises(DataError, match="length must be an integer, got 18.0"):
+    with pytest.raises(DataError, match="length must be an integer >= 1, got 18.0"):
         L.sample_mixture_dataset(mix, 5, 18.0, L.NoiseConfig(seed=0))
     assert len(L.sample_mixture_dataset(mix, np.int64(5), 18, L.NoiseConfig(seed=0))) == 5
+
+
+def test_mixture_and_noise_arguments_are_checked():
+    """A bare seed for ``noise`` and a list for ``mix`` were AttributeErrors."""
+    mix = L.MixtureSpec(components=(scalar_params(0.5),), weights=[1.0])
+    with pytest.raises(DataError, match="expected a NoiseConfig, got int"):
+        L.sample_mixture_dataset(mix, 10, 15, 42)
+    with pytest.raises(DataError, match="expected a MixtureSpec, got list"):
+        L.sample_mixture_dataset(list(mix.components), 10, 15, L.NoiseConfig(seed=0))
+    with pytest.raises(DataError, match="expected a MixtureSpec, got list"):
+        L.well_behaved_report(list(mix.components), 2, kappa=10.0, w_min=0.1, gamma=0.1)
+    for s in (2.0, 0):
+        with pytest.raises(DataError, match="^s must be an integer >= 1, got"):
+            L.well_behaved_report(mix, s, kappa=10.0, w_min=0.1, gamma=0.1)
+    with pytest.raises(DataError, match="^s must be an integer >= 0, got 2.0"):
+        L.joint_nondegeneracy_gamma(mix, 2.0)
 
 
 # ---------- diagnostic matrices ----------

@@ -219,11 +219,13 @@ def test_learn_mixture_checks_the_horizon_before_the_moment_pass(monkeypatch):
 
     monkeypatch.setattr(L.moments, "_sixth_moment_sums", no_moment_pass)
     for s in (0, -1):
-        with pytest.raises(DataError, match="s must be >= 1"):
+        with pytest.raises(DataError, match="s must be an integer >= 1, got"):
             L.learn_mixture(ds, 1, 1, s, np.random.default_rng(0))
     # m = p = 1 and s = 2: q = (2s+1)mp = 5 and n <= s min(m, p) = 2
-    for k, n, message in ((0, 1, "rank r must be >= 1"), (6, 1, "rank r=6 exceeds"),
-                          (1, 0, "state dimension n=0"), (1, 3, "state dimension n=3"),
+    for k, n, message in ((0, 1, r"k must be an integer in \[1, 5\], got 0"),
+                          (6, 1, r"k must be an integer in \[1, 5\], got 6"),
+                          (1, 0, r"n must be an integer in \[1, 2\], got 0"),
+                          (1, 3, r"n must be an integer in \[1, 2\], got 3"),
                           (1.5, 1, "k must be an integer"), (1, 1.5, "n must be an integer")):
         with pytest.raises(DataError, match=message):
             L.learn_mixture(ds, k, n, 2, np.random.default_rng(0))

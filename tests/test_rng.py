@@ -110,7 +110,7 @@ def test_seed_must_be_a_nonnegative_integer():
     mix = L.MixtureSpec(components=(L.LdsParams(a=[[0.5]], b=[[1.0]], c=[[1.0]], d=[[0.0]]),),
                         weights=[1.0])
     for seed in (-1, 1.5, "3"):
-        with pytest.raises(DataError, match="seed needs an integer >= 0"):
+        with pytest.raises(DataError, match="seed must be an integer >= 0, got"):
             L.sample_mixture_dataset(mix, 5, 18, L.NoiseConfig(seed=seed))
     assert len(L.sample_mixture_dataset(mix, 5, 18, L.NoiseConfig(seed=np.int64(3)))) == 5
 
